@@ -2,21 +2,17 @@
 
 The package has three layers plus a CLI:
 
-* :mod:`fracham.fracnum` - grids, the gamma function, and dense discrete
-  realizations of left/right Caputo and Riemann-Liouville derivatives
-  and fractional integrals for orders in (0, 1);
+* :mod:`fracham.fracnum` - grids, the gamma function, and discrete
+  left/right Caputo and Riemann-Liouville derivatives and fractional
+  integrals for orders in (0, 1), each stored as the generator of its
+  Toeplitz matrix, with the dense matrix built on first use;
 * :mod:`fracham.variational` - action evaluation, stationarity
   residuals, endpoint (transversality) terms, canonical momenta and
   energy, and the canonical equation defects;
 * :mod:`fracham.solver` - a direct Ritz solver for the model quadratic
   functional whose minimizer is t^beta, with a refinement-study harness.
-
-Heavy weight-matrix assembly runs through numba-compiled kernels when
-numba is importable; set FRACHAM_BACKEND=numpy to force the vectorized
-fallback (see :mod:`fracham._kernels`).
 """
 
-from ._kernels import active_backend
 from .fracnum import (
     DomainError,
     FracOperator,
@@ -62,6 +58,12 @@ from .variational import (
 )
 
 __version__ = "0.1.0"
+
+
+def active_backend() -> str:
+    """Name of the array backend. Always ``"numpy"``, the only one there is."""
+    return "numpy"
+
 
 __all__ = [
     "active_backend",

@@ -32,6 +32,7 @@ from .fracnum import (
 from .solver import (
     ConvergenceError,
     ExampleProblem,
+    SingularSystemError,
     convergence_study,
     equivalence_on_trial,
     exact_solution,
@@ -282,7 +283,7 @@ def _trial_values(args, grid: Grid) -> np.ndarray:
 def _run_check_equivalence(args) -> int:
     problem = _example_problem(args, 8)
     trial = SampledFn(problem.grid, _trial_values(args, problem.grid))
-    rep = equivalence_on_trial(args.alpha, args.beta, problem.grid, trial)
+    rep = equivalence_on_trial(args.alpha, args.beta, trial)
     lines = [
         "trial,defect,el_max,hamilton_max",
         f"{args.trial},{_fmt(rep.gap)},{_fmt(rep.el_max)},{_fmt(rep.hamilton_max)}",
@@ -389,7 +390,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except DomainError as exc:
+    except (DomainError, SingularSystemError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ValueError, RuntimeError) as exc:

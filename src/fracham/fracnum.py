@@ -11,11 +11,13 @@ Six operator kinds are provided for orders in (0, 1):
 * left/right fractional integrals of order mu in (0, 1), via the
   product-trapezoid convolution rule.
 
-Each operator is a dense triangular weight matrix on the grid. Left
-kinds only look backward (rows are lower triangular), right kinds only
-forward. The Riemann-Liouville kinds are singular at their anchored
-endpoint whenever f does not vanish there; that row is flagged unusable
-and ``apply`` returns NaN in it by convention.
+Each operator is a triangular weight matrix on the grid: in left form a
+lower-triangular Toeplitz matrix plus one boundary column. ``FracOperator``
+stores only that O(n) generator and builds the dense matrices on first
+use. Left kinds only look backward (rows are lower triangular), right
+kinds only forward. The Riemann-Liouville kinds are singular at their
+anchored endpoint whenever f does not vanish there; that row is flagged
+unusable and ``apply`` returns NaN in it by convention.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-
-from . import _kernels
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DomainError",
@@ -212,34 +213,76 @@ class OperatorKind(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class FracOperator:
-    """Dense realization of one fractional operator on a grid.
+    """One fractional operator on a grid, stored as its Toeplitz generator.
 
-    ``weights`` maps nodal values to nodal values of the operator
-    output. Left kinds are lower triangular, right kinds upper
-    triangular, and a right-kind matrix equals the matching left-kind
-    matrix conjugated by index reversal i -> n - i. ``unusable`` lists
-    rows where the underlying operator is singular; only the
-    Riemann-Liouville kinds have one (row 0 on the left, row n on the
-    right).
+    In left form every operator is a lower-triangular Toeplitz matrix plus
+    one boundary column, so a few length-n arrays describe it fully:
+
+    * ``kernel``: the column ``apply`` multiplies by. For derivative kinds
+      it is the L1 column scale * b_j (n entries), applied to first
+      differences; for integral kinds the product-trapezoid column
+      scale * s_d with s_0 = 1 (n + 1 entries), applied to nodal values.
+    * ``nodal``: the Toeplitz column of the nodal matrix (n + 1 entries);
+      the same array as ``kernel`` for integral kinds.
+    * ``boundary``: column 0 of the nodal matrix, rows 1 .. n, including
+      the Riemann-Liouville correction where there is one.
+    * ``correction``: the Riemann-Liouville endpoint column (n + 1
+      entries), None for the other kinds.
+
+    ``weights`` is the dense nodal matrix mapping nodal values to nodal
+    values of the output. It is built on first access and read-only. Left
+    kinds are lower triangular, right kinds upper triangular, and a
+    right-kind matrix equals the matching left-kind matrix conjugated by
+    index reversal i -> n - i. ``unusable`` lists rows where the
+    underlying operator is singular; only the Riemann-Liouville kinds
+    have one (row 0 on the left, row n on the right).
     """
 
     kind: OperatorKind
     order: FractionalOrder
     grid: Grid
-    weights: np.ndarray
+    kernel: np.ndarray = field(repr=False)
+    nodal: np.ndarray = field(repr=False)
+    boundary: np.ndarray = field(repr=False)
+    correction: np.ndarray | None = field(default=None, repr=False)
     unusable: tuple[int, ...] = ()
-    # left-form evaluation data: derivative kinds keep the first-difference
-    # Toeplitz matrix (and the RL correction column), right integral kinds
-    # keep the left-form matrix; apply() reverses around them so the mirror
-    # identity holds bit for bit (see apply)
-    _diff: np.ndarray | None = field(default=None, repr=False)
-    _corr: np.ndarray | None = field(default=None, repr=False)
-    _left_weights: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        if self.kind.is_integral:
+            w = self._left_matrix
+        else:
+            w = _nodal_matrix(self.nodal, self.boundary)
+        return w if self.kind.is_left else _freeze(w[::-1, ::-1].copy())
+
+    @cached_property
+    def _left_matrix(self) -> np.ndarray:
+        # what apply() multiplies: the n x n first-difference matrix for
+        # derivative kinds, the left nodal matrix for integral kinds
+        if self.kind.is_integral:
+            return _nodal_matrix(self.nodal, self.boundary)
+        return _freeze(_lower_toeplitz(self.kernel))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
+    """C-contiguous lower-triangular Toeplitz matrix with first column ``col``."""
+    m = col.size
+    padded = np.concatenate((col[::-1], np.zeros(m - 1)))
+    # window k is padded[k : k + m], so row i is window m - 1 - i
+    return np.ascontiguousarray(sliding_window_view(padded, m)[::-1])
+
+
+def _nodal_matrix(nodal: np.ndarray, boundary: np.ndarray) -> np.ndarray:
+    """Left-form nodal matrix: Toeplitz in columns 1 .. n, ``boundary`` in column 0."""
+    w = _lower_toeplitz(nodal)
+    w[0, 0] = 0.0
+    w[1:, 0] = boundary
+    return _freeze(w)
 
 
 @lru_cache(maxsize=128)
@@ -248,38 +291,48 @@ def _build(kind: OperatorKind, order: FractionalOrder, grid: Grid) -> FracOperat
     mu = order.value
 
     if kind.is_integral:
+        # product-trapezoid convolution weights for the order-mu integral
         scale = h**mu / gamma(mu + 2.0)
-        w = _kernels.int_weights(n, mu, scale)
-        if kind.is_left:
-            return FracOperator(kind, order, grid, _freeze(w))
-        return FracOperator(
-            kind, order, grid, _freeze(w[::-1, ::-1].copy()), (), None, None, _freeze(w)
-        )
+        d = np.arange(1, n + 1, dtype=np.float64)
+        s = np.ones(n + 1)
+        s[1:] = (d + 1.0) ** (mu + 1.0) + (d - 1.0) ** (mu + 1.0) - 2.0 * d ** (mu + 1.0)
+        kernel = _freeze(scale * s)
+        boundary = scale * ((d - 1.0) ** (mu + 1.0) - (d - mu - 1.0) * d**mu)
+        return FracOperator(kind, order, grid, kernel, kernel, _freeze(boundary))
 
+    # b_j = (j+1)^(1-alpha) - j^(1-alpha), the L1 convolution coefficients;
+    # the nodal column holds their differences, so rows sum to zero
     scale = h ** (-mu) / gamma(2.0 - mu)
-    w, m = _kernels.caputo_l1(n, mu, scale)
-    corr = None
+    j = np.arange(n + 1, dtype=np.float64)
+    b = (j + 1.0) ** (1.0 - mu) - j ** (1.0 - mu)
+    e = np.empty(n + 1)
+    e[0] = b[0]
+    e[1:] = b[1:] - b[:-1]
+    boundary = -scale * b[:n]
+    correction = None
     unusable: tuple[int, ...] = ()
     if kind.is_riemann_liouville:
-        corr = np.zeros(n + 1)
-        corr[1:] = (np.arange(1, n + 1) * h) ** (-mu) / gamma(1.0 - mu)
-        w = w.copy()
-        w[1:, 0] += corr[1:]
+        correction = np.zeros(n + 1)
+        correction[1:] = (np.arange(1, n + 1) * h) ** (-mu) / gamma(1.0 - mu)
+        boundary = boundary + correction[1:]
         # at the anchored endpoint the correction blows up; flag the row
         unusable = (0,) if kind.is_left else (n,)
-        _freeze(corr)
-    if not kind.is_left:
-        w = w[::-1, ::-1].copy()
-    return FracOperator(kind, order, grid, _freeze(w), unusable, _freeze(m), corr)
+        _freeze(correction)
+    return FracOperator(
+        kind, order, grid, _freeze((scale * b)[:n]), _freeze(scale * e),
+        _freeze(boundary), correction, unusable,
+    )
 
 
 def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
-    """Assemble the weight matrix for one operator kind.
+    """Compute the Toeplitz generator of one operator kind.
 
     ``order`` is the derivative order alpha for the derivative kinds and
     the integral order mu for the INT kinds; either way it must lie in
-    (0, 1). Operators are cached, and their arrays are read-only, so
-    repeated calls with equal arguments are cheap.
+    (0, 1). Building costs O(n) time and memory; the dense matrices are
+    made on first use by ``weights`` or ``apply``. Operators are cached,
+    and their arrays are read-only, so repeated calls with equal
+    arguments are cheap.
     """
     if not isinstance(kind, OperatorKind):
         raise TypeError(f"kind must be an OperatorKind, got {kind!r}")
@@ -291,32 +344,34 @@ def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
 def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     """Evaluate the operator on nodal samples.
 
-    Derivative kinds are evaluated in first-difference (telescoped) form,
-    y[i] = sum_k b[i-1-k] (f[k+1] - f[k]) * scale, which is algebraically
-    the matrix product ``op.weights @ f.values`` but annihilates constant
-    inputs bit-exactly. Integral kinds use the matrix product directly.
-    Rows listed in ``op.unusable`` come back as NaN sentinels that
-    downstream quadrature replaces (see quad_trapezoid).
+    Every kind is evaluated in left form; right kinds reverse the input
+    and the output around it, so they mirror the left kinds bit for bit.
+    Derivative kinds use the first-difference (telescoped) form,
+    y[i] = sum_k kernel[i-1-k] (f[k+1] - f[k]), plus f(a) times the
+    Riemann-Liouville correction. That is algebraically
+    ``op.weights @ f.values`` but annihilates constant inputs bit-exactly.
+    Integral kinds multiply by the nodal matrix. The dense left-form
+    matrix is built on the first call and kept on the operator. Rows
+    listed in ``op.unusable`` come back as NaN sentinels that downstream
+    quadrature replaces (see quad_trapezoid).
     """
     if f.grid != op.grid:
         raise GridMismatchError(
             f"operator grid [{op.grid.a:g}, {op.grid.b:g}] n={op.grid.n} does not "
             f"match sample grid [{f.grid.a:g}, {f.grid.b:g}] n={f.grid.n}"
         )
-    v = f.values
-    if op._diff is not None:
-        vv = v if op.kind.is_left else v[::-1]
-        y = np.zeros(op.grid.n + 1)
-        y[1:] = op._diff @ np.diff(vv)
-        if op._corr is not None:
-            y = y + vv[0] * op._corr
-        if not op.kind.is_left:
-            y = y[::-1].copy()
-    elif op._left_weights is not None:
-        # contiguous reversal keeps the BLAS path identical to a left apply
-        y = (op._left_weights @ np.ascontiguousarray(v[::-1]))[::-1].copy()
+    left = op.kind.is_left
+    # contiguous reversal keeps the BLAS path identical to a left apply
+    v = f.values if left else np.ascontiguousarray(f.values[::-1])
+    if op.kind.is_integral:
+        y = op._left_matrix @ v
     else:
-        y = op.weights @ v
+        y = np.zeros(op.grid.n + 1)
+        y[1:] = op._left_matrix @ np.diff(v)
+        if op.correction is not None:
+            y = y + v[0] * op.correction
+    if not left:
+        y = y[::-1]
     for i in op.unusable:
         y[i] = np.nan
     return SampledFn(op.grid, y, allow_sentinels=True)

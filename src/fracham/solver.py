@@ -171,7 +171,8 @@ def assemble(problem: ExampleProblem) -> tuple[np.ndarray, np.ndarray]:
     if ev[0] <= 0.0 or ev[-1] / ev[0] > _COND_LIMIT:
         cond = np.inf if ev[0] <= 0.0 else ev[-1] / ev[0]
         raise SingularSystemError(
-            f"restricted system is numerically singular (condition estimate {cond:.3g})"
+            f"restricted system at n = {grid.n} is numerically singular "
+            f"(condition estimate {cond:.3g})"
         )
     return matrix, rhs
 
@@ -187,7 +188,7 @@ def solve(problem: ExampleProblem) -> SolveReport:
     matrix, rhs = assemble(problem)
     x = np.linalg.solve(matrix, rhs)
     if not np.isfinite(x).all():
-        raise SingularSystemError("solver produced non-finite values")
+        raise SingularSystemError(f"solver produced non-finite values at n = {grid.n}")
     qv = np.concatenate(([problem.q_left], x, [problem.q_right]))
     q = SampledFn(grid, qv)
     qe = exact_solution(problem)
@@ -205,7 +206,7 @@ def solve(problem: ExampleProblem) -> SolveReport:
     return SolveReport(q, qe, max_err, l2_err, functional_value, el.max_abs, hamilton_max)
 
 
-def equivalence_on_trial(alpha, beta: float, grid: Grid, trial: SampledFn):
+def equivalence_on_trial(alpha, beta: float, trial: SampledFn):
     """Stationarity-vs-canonical agreement for the model density on a trial."""
     spec = example_lagrangian(alpha, beta)
     return equivalence_gap(spec, trial)
@@ -219,7 +220,9 @@ def convergence_study(
     n_list must be strictly increasing with every entry >= 8. When
     check_monotone is set (the default) a ConvergenceError is raised if
     l2_err ever increases between successive sizes; the exception keeps
-    the computed rows in its ``rows`` attribute.
+    the computed rows in its ``rows`` attribute. A failing solve raises
+    its own error type unchanged; a SingularSystemError names the grid
+    size in its message.
     """
     ns = [int(n) for n in n_list]
     if not ns:
@@ -231,10 +234,7 @@ def convergence_study(
 
     rows: list[ConvergenceRow] = []
     for n in ns:
-        try:
-            rep = solve(ExampleProblem(as_order(alpha), beta, Grid(0.0, 1.0, n)))
-        except Exception as exc:
-            raise RuntimeError(f"solve failed at n = {n}: {exc}") from exc
+        rep = solve(ExampleProblem(as_order(alpha), beta, Grid(0.0, 1.0, n)))
         rows.append(ConvergenceRow(n, rep.max_err, rep.l2_err, rep.el_max, rep.hamilton_max))
 
     if check_monotone:

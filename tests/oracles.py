@@ -3,14 +3,16 @@
 Everything here deliberately avoids the package's own operator code:
 fractional integrals and derivatives are computed with scipy's adaptive
 quadrature (algebraic-weight rule for the endpoint singularity) plus
-central finite differences, and gamma references come from the exact
-recurrence seeded at Gamma(1) = 1 and Gamma(0.5) = sqrt(pi).
+central finite differences, gamma references come from the exact
+recurrence seeded at Gamma(1) = 1 and Gamma(0.5) = sqrt(pi), and the
+dense weight matrices are filled entry by entry with plain loops.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
 
@@ -66,3 +68,55 @@ def gamma_recurrence_table(count: int = 20) -> list[tuple[float, float]]:
         idx = [round(i * (len(table) - 1) / (count - 1)) for i in range(count)]
         table = [table[i] for i in sorted(set(idx))]
     return table
+
+
+def l1_weights_loops(n: int, alpha: float, h: float, riemann_liouville: bool = False):
+    """Left-form nodal matrix of the L1 Caputo scheme, one entry at a time.
+
+    With ``riemann_liouville`` the endpoint column (i h)^(-alpha) /
+    Gamma(1 - alpha) is added to column 0.
+    """
+    scale = h ** (-alpha) / math.gamma(2.0 - alpha)
+    # b_j = (j+1)^(1-alpha) - j^(1-alpha); row sums telescope to zero
+    b = [(j + 1.0) ** (1.0 - alpha) - float(j) ** (1.0 - alpha) for j in range(n + 1)]
+    w = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        w[i, 0] = -scale * b[i - 1]
+        w[i, i] = scale * b[0]
+        for j in range(1, i):
+            w[i, j] = scale * (b[i - j] - b[i - j - 1])
+        if riemann_liouville:
+            w[i, 0] += (i * h) ** (-alpha) / math.gamma(1.0 - alpha)
+    return w
+
+
+def int_weights_loops(n: int, mu: float, h: float):
+    """Left-form nodal matrix of the product-trapezoid order-mu integral."""
+    scale = h**mu / math.gamma(mu + 2.0)
+    s = [0.0] * (n + 1)
+    for d in range(1, n + 1):
+        fd = float(d)
+        s[d] = (fd + 1.0) ** (mu + 1.0) + (fd - 1.0) ** (mu + 1.0) - 2.0 * fd ** (mu + 1.0)
+    w = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        fi = float(i)
+        w[i, 0] = scale * ((fi - 1.0) ** (mu + 1.0) - (fi - mu - 1.0) * fi**mu)
+        w[i, i] = scale
+        for k in range(1, i):
+            w[i, k] = scale * s[i - k]
+    return w
+
+
+def weights_loops(kind: str, order: float, a: float, b: float, n: int):
+    """Dense weights of one operator kind ("caputo-left", "int-right", ...).
+
+    Right kinds are the left matrices conjugated by index reversal
+    i -> n - i.
+    """
+    family, side = kind.rsplit("-", 1)
+    h = (b - a) / n
+    if family == "int":
+        w = int_weights_loops(n, order, h)
+    else:
+        w = l1_weights_loops(n, order, h, riemann_liouville=family == "rl")
+    return w if side == "left" else w[::-1, ::-1]

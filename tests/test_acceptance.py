@@ -8,7 +8,6 @@ stated tolerances.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -304,24 +303,19 @@ class TestCriterion9Cli:
     contract, and byte-identical reruns."""
 
     @staticmethod
-    def run(args, backend="numpy"):
-        env = dict(os.environ)
-        env["FRACHAM_BACKEND"] = backend
+    def run(args):
         return subprocess.run(
             [sys.executable, "-m", "fracham.cli", *args],
             capture_output=True,
             text=True,
-            env=env,
         )
 
     def test_end_to_end(self):
         run = self.run
 
-        # deriv: default backend, exit 0, deterministic rerun
-        a1 = run(["deriv", "--kind", "caputo-left", "--alpha", "0.5", "--fn", "1", "--n", "16"],
-                 backend=os.environ.get("FRACHAM_BACKEND", "auto"))
-        a2 = run(["deriv", "--kind", "caputo-left", "--alpha", "0.5", "--fn", "1", "--n", "16"],
-                 backend=os.environ.get("FRACHAM_BACKEND", "auto"))
+        # deriv: exit 0, deterministic rerun
+        a1 = run(["deriv", "--kind", "caputo-left", "--alpha", "0.5", "--fn", "1", "--n", "16"])
+        a2 = run(["deriv", "--kind", "caputo-left", "--alpha", "0.5", "--fn", "1", "--n", "16"])
         ok = a1.returncode == 0 and a1.stdout == a2.stdout
         ok = ok and all(line.endswith(",0") for line in a1.stdout.splitlines()[1:])
 

@@ -4,6 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import fracham.solver
 from fracham.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -240,6 +241,27 @@ class TestConverge:
         code, _, _ = run_cli("converge", "--alpha", "0.5", "--beta", "0.75",
                              "--n-list", "64,banana")
         assert code == EXIT_USAGE
+
+
+class TestNumericFailures:
+    """A singular system is a numeric domain error: exit 3, not a usage error."""
+
+    @pytest.fixture(autouse=True)
+    def singular_systems(self, monkeypatch):
+        monkeypatch.setattr(fracham.solver, "_COND_LIMIT", 1.0)
+
+    def test_solve_example(self):
+        code, out, err = run_cli("solve-example", "--alpha", "0.5", "--beta", "0.75",
+                                 "--n", "64")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "numerically singular" in err
+
+    def test_converge(self):
+        code, _, err = run_cli("converge", "--alpha", "0.5", "--beta", "0.75",
+                               "--n-list", "64,128")
+        assert code == EXIT_DOMAIN
+        assert "n = 64" in err
 
 
 class TestOutputContract:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracham import fracnum
 from fracham import (
     DomainError,
     FracOperator,
@@ -17,7 +18,12 @@ from fracham import (
     gamma,
     quad_trapezoid,
 )
-from oracles import caputo_left_quadrature, frac_integral_quadrature, rl_left_quadrature
+from oracles import (
+    caputo_left_quadrature,
+    frac_integral_quadrature,
+    rl_left_quadrature,
+    weights_loops,
+)
 
 K = OperatorKind
 
@@ -62,12 +68,35 @@ class TestMatrixStructure:
         wr = build_operator(right, 0.35, g).weights
         assert np.array_equal(wr, wl[::-1, ::-1])
 
+    @pytest.mark.parametrize(
+        "n,order,a,b",
+        [(2, 0.5, 0.0, 1.0), (9, 0.01, -1.3, 2.7), (40, 0.99, 0.0, 1.0), (257, 0.35, -1.3, 2.7)],
+    )
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_weights_match_loop_reference(self, kind, n, order, a, b):
+        # entry-by-entry fill, independent of the Toeplitz generator. Both
+        # sides evaluate the same formulas, but vectorized and scalar pow may
+        # differ by an ulp, and the coefficients cancel power terms as large
+        # as (n + 1)^(1 + order) times the diagonal: allow a few ulps of that
+        ref = weights_loops(kind.value, order, a, b, n)
+        w = build_operator(kind, order, Grid(a, b, n)).weights
+        atol = 4 * np.finfo(float).eps * (n + 1) ** (1 + order) * np.max(np.abs(ref))
+        assert np.allclose(w, ref, rtol=1e-11, atol=atol)
+
     def test_unusable_rows(self):
         g = grid01(9)
         assert build_operator(K.RL_LEFT, 0.5, g).unusable == (0,)
         assert build_operator(K.RL_RIGHT, 0.5, g).unusable == (9,)
         for kind in (K.CAPUTO_LEFT, K.CAPUTO_RIGHT, K.INT_LEFT, K.INT_RIGHT):
             assert build_operator(kind, 0.5, g).unusable == ()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_fresh_operator_holds_only_its_generator(self, kind):
+        # the dense matrices (~270 MB at this size) wait for weights or apply
+        fracnum._build.cache_clear()
+        op = build_operator(kind, 0.5, Grid(0.0, 1.0, 4096))
+        held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
+        assert held < 1_000_000
 
     def test_caputo_row_sums_vanish(self):
         # constants must be annihilated: every row of the nodal matrix sums to ~0

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import fracham.solver
 from fracham import (
     ConvergenceError,
     ExampleProblem,
     FractionalOrder,
     Grid,
     SampledFn,
+    SingularSystemError,
     assemble,
     convergence_study,
     evaluate_functional,
@@ -127,3 +129,9 @@ class TestConvergenceStudy:
         # and that the exception type exposes .rows
         err = ConvergenceError("msg", rows)
         assert err.rows is rows
+
+    def test_singular_system_keeps_its_type(self, monkeypatch):
+        # every system fails a conditioning limit of 1
+        monkeypatch.setattr(fracham.solver, "_COND_LIMIT", 1.0)
+        with pytest.raises(SingularSystemError, match="n = 64"):
+            convergence_study(0.5, 0.75, [64, 128])

@@ -261,6 +261,10 @@ class FracOperator:
         # derivative kinds, the left nodal matrix for integral kinds
         if self.kind.is_integral:
             return _nodal_matrix(self.nodal, self.boundary)
+        if self.kind is not OperatorKind.CAPUTO_LEFT:
+            # all four derivative kinds have the same L1 kernel, so they
+            # share the CAPUTO_LEFT matrix of their (order, grid)
+            return _build(OperatorKind.CAPUTO_LEFT, self.order, self.grid)._left_matrix
         return _freeze(_lower_toeplitz(self.kernel))
 
 
@@ -332,7 +336,8 @@ def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
     (0, 1). Building costs O(n) time and memory; the dense matrices are
     made on first use by ``weights`` or ``apply``. Operators are cached,
     and their arrays are read-only, so repeated calls with equal
-    arguments are cheap.
+    arguments are cheap. The four derivative kinds of one (order, grid)
+    share a single first-difference matrix.
     """
     if not isinstance(kind, OperatorKind):
         raise TypeError(f"kind must be an OperatorKind, got {kind!r}")

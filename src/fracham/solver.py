@@ -29,14 +29,7 @@ from .fracnum import (
     gamma,
     trapezoid_weights,
 )
-from .variational import (
-    LagrangianSpec,
-    el_residual,
-    equivalence_gap,
-    evaluate_functional,
-    hamiltonian,
-    hamilton_residuals,
-)
+from .variational import LagrangianSpec, _Evaluation, equivalence_gap, hamilton_residuals
 
 __all__ = [
     "ExampleProblem",
@@ -131,7 +124,9 @@ def example_lagrangian(alpha, beta: float) -> LagrangianSpec:
     """Density 1/2 * (dl - g(t))^2 of the model functional.
 
     There is no right-Caputo dependence; the right order slot is filled
-    with alpha since it never enters the residuals.
+    with alpha since it never enters the residuals. Its operators share
+    the first-difference matrix of the left-Caputo one, so the slot costs
+    no extra matrix.
     """
     al = as_order(alpha)
     be = float(beta)
@@ -199,9 +194,10 @@ def solve(problem: ExampleProblem) -> SolveReport:
     l2_err = float(np.sqrt(np.sum(w * diff**2)))
 
     spec = example_lagrangian(problem.alpha, problem.beta)
-    functional_value = evaluate_functional(spec, q)
-    el = el_residual(spec, q)
-    _, _, r_q = hamilton_residuals(spec, hamiltonian(spec, q))
+    ev = _Evaluation(spec, q)
+    functional_value = ev.action()
+    el = ev.stationarity()
+    _, _, r_q = hamilton_residuals(spec, ev.bundle())
     hamilton_max = float(np.nanmax(np.abs(r_q.values)))
     return SolveReport(q, qe, max_err, l2_err, functional_value, el.max_abs, hamilton_max)
 

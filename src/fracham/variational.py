@@ -13,11 +13,15 @@ energy H = p_a * dl + p_b * dr - L, and the defects of the canonical
 equations of motion. Both residual routes share the same discrete
 operator matrices, so their algebraic equivalence holds on the grid to
 rounding, independent of discretization error.
+
+Each query evaluates its trajectory once: both Caputo velocities are
+applied a single time and each density callback runs at most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -158,21 +162,54 @@ def _field(values, n: int) -> np.ndarray:
     return out
 
 
-def _velocities(spec: LagrangianSpec, q: SampledFn) -> tuple[SampledFn, SampledFn]:
-    dl = apply(build_operator(OperatorKind.CAPUTO_LEFT, spec.alpha, q.grid), q)
-    dr = apply(build_operator(OperatorKind.CAPUTO_RIGHT, spec.beta, q.grid), q)
-    return dl, dr
+class _Evaluation:
+    """One evaluation of a trajectory on its grid.
 
+    Both Caputo velocities are applied on construction. Each density
+    callback runs at most once, on first use, so a query calls only the
+    callbacks its outputs need.
+    """
 
-def evaluate_functional(spec: LagrangianSpec, q: SampledFn) -> float:
-    """Trapezoid quadrature of L along the trajectory q."""
-    t = q.grid.nodes
-    dl, dr = _velocities(spec, q)
-    lv = _field(spec.eval_L(t, q.values, dl.values, dr.values), q.grid.n)
-    if not np.isfinite(lv).all():
-        i = int(np.flatnonzero(~np.isfinite(lv))[0])
-        raise ValueError(f"Lagrangian is not finite at node {i} (t = {t[i]:g})")
-    return float(np.sum(trapezoid_weights(q.grid) * lv))
+    def __init__(self, spec: LagrangianSpec, q: SampledFn):
+        g = q.grid
+        self.spec = spec
+        self.q = q
+        self.dl = apply(build_operator(OperatorKind.CAPUTO_LEFT, spec.alpha, g), q)
+        self.dr = apply(build_operator(OperatorKind.CAPUTO_RIGHT, spec.beta, g), q)
+        self.args = (g.nodes, q.values, self.dl.values, self.dr.values)
+
+    def _call(self, cb: Density) -> np.ndarray:
+        return _field(cb(*self.args), self.q.grid.n)
+
+    @cached_property
+    def p_alpha(self) -> SampledFn:
+        return SampledFn(self.q.grid, self._call(self.spec.dL_ddL))
+
+    @cached_property
+    def p_beta(self) -> SampledFn:
+        return SampledFn(self.q.grid, self._call(self.spec.dL_ddR))
+
+    def action(self) -> float:
+        t = self.q.grid.nodes
+        lv = self._call(self.spec.eval_L)
+        if not np.isfinite(lv).all():
+            i = int(np.flatnonzero(~np.isfinite(lv))[0])
+            raise ValueError(f"Lagrangian is not finite at node {i} (t = {t[i]:g})")
+        return float(np.sum(trapezoid_weights(self.q.grid) * lv))
+
+    def stationarity(self) -> ELReport:
+        g, spec = self.q.grid, self.spec
+        ru = apply(build_operator(OperatorKind.RL_RIGHT, spec.alpha, g), self.p_alpha)
+        rv = apply(build_operator(OperatorKind.RL_LEFT, spec.beta, g), self.p_beta)
+        res = self._call(spec.dL_dq) + ru.values + rv.values
+        max_abs, l2 = _weighted_norms(res, g)
+        return ELReport(SampledFn(g, res, allow_sentinels=True), max_abs, l2)
+
+    def bundle(self) -> TrajectoryBundle:
+        p_a, p_b = self.p_alpha, self.p_beta
+        lv = self._call(self.spec.eval_L)
+        h = p_a.values * self.dl.values + p_b.values * self.dr.values - lv
+        return TrajectoryBundle(self.q, self.dl, self.dr, p_a, p_b, SampledFn(self.q.grid, h))
 
 
 def _weighted_norms(res: np.ndarray, grid: Grid) -> tuple[float, float]:
@@ -183,6 +220,11 @@ def _weighted_norms(res: np.ndarray, grid: Grid) -> tuple[float, float]:
     return max_abs, l2
 
 
+def evaluate_functional(spec: LagrangianSpec, q: SampledFn) -> float:
+    """Trapezoid quadrature of L along the trajectory q."""
+    return _Evaluation(spec, q).action()
+
+
 def el_residual(spec: LagrangianSpec, q: SampledFn) -> ELReport:
     """Pointwise defect of the stationarity equation along q.
 
@@ -190,17 +232,7 @@ def el_residual(spec: LagrangianSpec, q: SampledFn) -> ELReport:
     so the residual carries NaN sentinels at both ends and the norms run
     over the interior.
     """
-    t = q.grid.nodes
-    n = q.grid.n
-    dl, dr = _velocities(spec, q)
-    args = (t, q.values, dl.values, dr.values)
-    u = SampledFn(q.grid, _field(spec.dL_ddL(*args), n))
-    v = SampledFn(q.grid, _field(spec.dL_ddR(*args), n))
-    ru = apply(build_operator(OperatorKind.RL_RIGHT, spec.alpha, q.grid), u)
-    rv = apply(build_operator(OperatorKind.RL_LEFT, spec.beta, q.grid), v)
-    res = _field(spec.dL_dq(*args), n) + ru.values + rv.values
-    max_abs, l2 = _weighted_norms(res, q.grid)
-    return ELReport(SampledFn(q.grid, res, allow_sentinels=True), max_abs, l2)
+    return _Evaluation(spec, q).stationarity()
 
 
 def transversality_terms(spec: LagrangianSpec, q: SampledFn) -> tuple[float, float]:
@@ -211,27 +243,17 @@ def transversality_terms(spec: LagrangianSpec, q: SampledFn) -> tuple[float, flo
     fixed the boundary conditions are satisfied regardless; the caller
     decides what to do with free endpoints.
     """
-    t = q.grid.nodes
-    n = q.grid.n
-    dl, dr = _velocities(spec, q)
-    args = (t, q.values, dl.values, dr.values)
-    u = SampledFn(q.grid, _field(spec.dL_ddL(*args), n))
-    v = SampledFn(q.grid, _field(spec.dL_ddR(*args), n))
-    ir = apply(build_operator(OperatorKind.INT_RIGHT, spec.alpha.complement, q.grid), u)
-    il = apply(build_operator(OperatorKind.INT_LEFT, spec.beta.complement, q.grid), v)
+    ev = _Evaluation(spec, q)
+    ir = apply(build_operator(OperatorKind.INT_RIGHT, spec.alpha.complement, q.grid), ev.p_alpha)
+    il = apply(build_operator(OperatorKind.INT_LEFT, spec.beta.complement, q.grid), ev.p_beta)
     bracket = ir.values - il.values
     return float(bracket[0]), float(bracket[-1])
 
 
 def momenta(spec: LagrangianSpec, q: SampledFn) -> tuple[SampledFn, SampledFn]:
     """Canonical momenta: the partials of L with respect to dl and dr."""
-    t = q.grid.nodes
-    n = q.grid.n
-    dl, dr = _velocities(spec, q)
-    args = (t, q.values, dl.values, dr.values)
-    p_a = SampledFn(q.grid, _field(spec.dL_ddL(*args), n))
-    p_b = SampledFn(q.grid, _field(spec.dL_ddR(*args), n))
-    return p_a, p_b
+    ev = _Evaluation(spec, q)
+    return ev.p_alpha, ev.p_beta
 
 
 def hamiltonian(spec: LagrangianSpec, q: SampledFn) -> TrajectoryBundle:
@@ -240,22 +262,7 @@ def hamiltonian(spec: LagrangianSpec, q: SampledFn) -> TrajectoryBundle:
     H = p_alpha * dl + p_beta * dr - L holds pointwise by construction;
     ``energy_defect`` recomputes it for verification.
     """
-    t = q.grid.nodes
-    n = q.grid.n
-    dl, dr = _velocities(spec, q)
-    args = (t, q.values, dl.values, dr.values)
-    p_a = _field(spec.dL_ddL(*args), n)
-    p_b = _field(spec.dL_ddR(*args), n)
-    lv = _field(spec.eval_L(*args), n)
-    h = p_a * dl.values + p_b * dr.values - lv
-    return TrajectoryBundle(
-        q=q,
-        dL=dl,
-        dR=dr,
-        p_alpha=SampledFn(q.grid, p_a),
-        p_beta=SampledFn(q.grid, p_b),
-        H=SampledFn(q.grid, h),
-    )
+    return _Evaluation(spec, q).bundle()
 
 
 def energy_defect(spec: LagrangianSpec, bundle: TrajectoryBundle) -> float:
@@ -313,9 +320,9 @@ def equivalence_gap(spec: LagrangianSpec, q: SampledFn) -> EquivalenceReport:
     same Riemann-Liouville matrices, so the gap is rounding-level for
     any trajectory, however far from stationary.
     """
-    el = el_residual(spec, q)
-    bundle = hamiltonian(spec, q)
-    _, _, r_q = hamilton_residuals(spec, bundle)
+    ev = _Evaluation(spec, q)
+    el = ev.stationarity()
+    _, _, r_q = hamilton_residuals(spec, ev.bundle())
     s = el.residual.values + r_q.values
     mask = np.isfinite(s)
     gap = float(np.max(np.abs(s[mask])))

@@ -264,6 +264,29 @@ class TestNumericFailures:
         assert "n = 64" in err
 
 
+class TestParameterChecks:
+    """The library's checks reach the command line as usage errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--alpha", "0.75", "--beta", "0.75", "--n-list", "64,128"],
+        ["converge", "--alpha", "0.5", "--beta", "0.75", "--n-list", "128,64"],
+        ["converge", "--alpha", "0.5", "--beta", "0.75", "--n-list", "4,64"],
+        ["converge", "--alpha", "1.0", "--beta", "1.0", "--n-list", "64,128"],
+        ["converge", "--alpha", "0", "--beta", "0.75", "--n-list", "64,128"],
+        ["deriv", "--kind", "caputo-left", "--alpha", "0.5", "--fn", "t", "--interval", "1:0"],
+        ["deriv", "--kind", "rl-right", "--alpha", "0.5", "--fn", "t", "--interval", "2:2"],
+        ["deriv", "--kind", "int-left", "--alpha", "1.0", "--fn", "t"],
+        ["deriv", "--kind", "caputo-right", "--alpha", "-0.5", "--fn", "pow(t,-1)"],
+    ], ids=["converge-alpha-ge-beta", "converge-decreasing", "converge-entry-below-8",
+            "converge-alpha-one", "converge-alpha-zero", "deriv-reversed-interval",
+            "deriv-empty-interval", "deriv-order-one", "deriv-negative-order"])
+    def test_exits_2_with_no_output(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestOutputContract:
     def test_byte_identical_reruns(self):
         argv = ["check-equivalence", "--alpha", "0.5", "--beta", "0.75",

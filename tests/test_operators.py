@@ -98,6 +98,15 @@ class TestMatrixStructure:
         held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
         assert held < 1_000_000
 
+    def test_derivative_kinds_share_one_difference_matrix(self):
+        g = grid01(33)
+        f = SampledFn(g, np.sin(g.nodes))
+        ops = [build_operator(kind, 0.29, g) for kind in DERIVATIVE_KINDS]
+        for op in reversed(ops):
+            apply(op, f)
+        caputo_left = ops[0]._left_matrix
+        assert all(np.shares_memory(caputo_left, op._left_matrix) for op in ops[1:])
+
     def test_caputo_row_sums_vanish(self):
         # constants must be annihilated: every row of the nodal matrix sums to ~0
         w = build_operator(K.CAPUTO_LEFT, 0.5, grid01(64)).weights

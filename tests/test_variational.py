@@ -54,6 +54,18 @@ def coordinate_spec(alpha):
     )
 
 
+def two_sided_spec(alpha, beta, c=0.5, k=1.5):
+    """L = dl^2/2 + c dr^2/2 - k q^2/2: depends on q and on both velocities."""
+    return LagrangianSpec(
+        eval_L=lambda t, q, dl, dr: 0.5 * dl**2 + 0.5 * c * dr**2 - 0.5 * k * q**2,
+        dL_dq=lambda t, q, dl, dr: -k * q,
+        dL_ddL=lambda t, q, dl, dr: dl,
+        dL_ddR=lambda t, q, dl, dr: c * dr,
+        alpha=alpha,
+        beta=beta,
+    )
+
+
 def minimizer(grid, beta=0.75):
     return SampledFn(grid, grid.nodes**beta)
 
@@ -363,7 +375,6 @@ class TestEquivalence:
     @pytest.mark.parametrize("trial", ["exact", "linear", "random"])
     def test_gap_is_rounding_level(self, trial):
         g = Grid(0.0, 1.0, 256)
-        spec = example_lagrangian(0.5, 0.75)
         if trial == "exact":
             q = minimizer(g)
         elif trial == "linear":
@@ -371,8 +382,13 @@ class TestEquivalence:
         else:
             rng = np.random.default_rng(7)
             q = SampledFn(g, rng.uniform(-1, 1, 257))
-        rep = equivalence_gap(spec, q)
-        assert rep.gap <= 1e-12
+        for spec in (example_lagrangian(0.5, 0.75), two_sided_spec(0.4, 0.7)):
+            rep = equivalence_gap(spec, q)
+            assert rep.gap <= 1e-12
+            # both routes add the same terms, so the residuals agree exactly
+            el = el_residual(spec, q)
+            _, _, r_q = hamilton_residuals(spec, hamiltonian(spec, q))
+            assert np.array_equal(el.residual.values, -r_q.values, equal_nan=True)
 
     def test_linear_trial_has_large_individual_residuals(self):
         # equivalence is trajectory independent: both residuals are far from
@@ -383,3 +399,35 @@ class TestEquivalence:
         assert rep.gap <= 1e-12
         assert rep.el_max > 0.1
         assert rep.hamilton_max > 0.1
+
+
+class TestOneEvaluationPerQuery:
+    """Each query applies both velocity operators once, not once per output."""
+
+    @pytest.fixture
+    def applies(self, monkeypatch):
+        import fracham.variational
+
+        calls = []
+        real = fracham.variational.apply
+
+        def counting(op, f):
+            calls.append(op.kind)
+            return real(op, f)
+
+        monkeypatch.setattr(fracham.variational, "apply", counting)
+        return calls
+
+    @pytest.mark.parametrize("spec", [example_lagrangian(0.5, 0.75), two_sided_spec(0.4, 0.7)],
+                             ids=["model", "two-sided"])
+    def test_equivalence_gap(self, applies, spec):
+        g = Grid(0.0, 1.0, 64)
+        equivalence_gap(spec, SampledFn(g, np.sin(g.nodes)))
+        # two velocities, two Riemann-Liouville terms per residual route
+        assert len(applies) == 6
+
+    def test_solve(self, applies):
+        from fracham import ExampleProblem, solve
+
+        solve(ExampleProblem(0.5, 0.75, Grid(0.0, 1.0, 64)))
+        assert len(applies) == 6

@@ -4,8 +4,8 @@ The package has three layers plus a CLI:
 
 * :mod:`fracham.fracnum` - grids, the gamma function, and discrete
   left/right Caputo and Riemann-Liouville derivatives and fractional
-  integrals for orders in (0, 1), each stored as the generator of its
-  Toeplitz matrix, with the dense matrix built on first use;
+  integrals for orders in (0, 1), each stored as its Toeplitz column
+  plus one endpoint column, from which every dense matrix is derived;
 * :mod:`fracham.variational` - action evaluation, stationarity
   residuals, endpoint (transversality) terms, canonical momenta and
   energy, and the canonical equation defects;

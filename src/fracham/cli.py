@@ -34,10 +34,10 @@ from .solver import (
     ExampleProblem,
     SingularSystemError,
     convergence_study,
-    equivalence_on_trial,
-    exact_solution,
+    example_lagrangian,
     solve,
 )
+from .variational import equivalence_gap
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -190,12 +190,6 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return a, b
 
 
-def _grid_n(value: int, minimum: int) -> int:
-    if value < minimum:
-        raise CliError(EXIT_USAGE, f"need n >= {minimum}, got {value}")
-    return value
-
-
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -233,13 +227,14 @@ def _run_deriv(args) -> int:
     return EXIT_OK
 
 
-def _example_problem(args, min_n: int) -> ExampleProblem:
-    n = _grid_n(args.n, min_n)
-    return ExampleProblem(args.alpha, args.beta, Grid(0.0, 1.0, n))
+def _example_problem(args) -> ExampleProblem:
+    if args.n < 8:
+        raise CliError(EXIT_USAGE, f"need n >= 8, got {args.n}")
+    return ExampleProblem(args.alpha, args.beta, Grid(0.0, 1.0, args.n))
 
 
 def _run_solve_example(args) -> int:
-    problem = _example_problem(args, 8)
+    problem = _example_problem(args)
     report = solve(problem)
     lines = ["t,q_numeric,q_exact,abs_err"]
     for t, qn, qe in zip(
@@ -266,9 +261,9 @@ def _trial_values(args, grid: Grid) -> np.ndarray:
 
 
 def _run_check_equivalence(args) -> int:
-    problem = _example_problem(args, 8)
+    problem = _example_problem(args)
     trial = SampledFn(problem.grid, _trial_values(args, problem.grid))
-    rep = equivalence_on_trial(args.alpha, args.beta, trial)
+    rep = equivalence_gap(example_lagrangian(args.alpha, args.beta), trial)
     lines = [
         "trial,defect,el_max,hamilton_max",
         f"{args.trial},{_fmt(rep.gap)},{_fmt(rep.el_max)},{_fmt(rep.hamilton_max)}",

@@ -12,12 +12,13 @@ Six operator kinds are provided for orders in (0, 1):
   product-trapezoid convolution rule.
 
 Each operator is a triangular weight matrix on the grid: in left form a
-lower-triangular Toeplitz matrix plus one boundary column. ``FracOperator``
-stores only that O(n) generator and builds the dense matrices on first
-use. Left kinds only look backward (rows are lower triangular), right
-kinds only forward. The Riemann-Liouville kinds are singular at their
-anchored endpoint whenever f does not vanish there; that row is flagged
-unusable and ``apply`` returns NaN in it by convention.
+lower-triangular Toeplitz matrix plus one column added times f(a).
+``FracOperator`` stores only that O(n) generator, the Toeplitz column and
+the endpoint column, and derives every dense matrix from it. Left kinds
+only look backward (rows are lower triangular), right kinds only forward.
+The Riemann-Liouville kinds are singular at their anchored endpoint
+whenever f does not vanish there; that row is flagged unusable and
+``apply`` returns NaN in it by convention.
 """
 
 from __future__ import annotations
@@ -215,56 +216,58 @@ class OperatorKind(enum.Enum):
 class FracOperator:
     """One fractional operator on a grid, stored as its Toeplitz generator.
 
-    In left form every operator is a lower-triangular Toeplitz matrix plus
-    one boundary column, so a few length-n arrays describe it fully:
+    In left form every operator is a lower-triangular Toeplitz matrix T
+    plus one column added times f(a), so two arrays describe it fully:
 
-    * ``kernel``: the column ``apply`` multiplies by. For derivative kinds
-      it is the L1 column scale * b_j (n entries), applied to first
-      differences; for integral kinds the product-trapezoid column
-      scale * s_d with s_0 = 1 (n + 1 entries), applied to nodal values.
-    * ``nodal``: the Toeplitz column of the nodal matrix (n + 1 entries);
-      the same array as ``kernel`` for integral kinds.
-    * ``boundary``: column 0 of the nodal matrix, rows 1 .. n, including
-      the Riemann-Liouville correction where there is one.
-    * ``correction``: the Riemann-Liouville endpoint column (n + 1
-      entries), None for the other kinds.
+    * ``kernel``: the first column of T. For derivative kinds it is the
+      L1 column scale * b_j (n entries) and T acts on first differences;
+      for integral kinds it is the product-trapezoid column scale * s_d
+      with s_0 = 1 (n + 1 entries) and T acts on nodal values.
+    * ``correction``: the column added times f(a) (n + 1 entries). For
+      the Riemann-Liouville kinds it is the endpoint term; for integral
+      kinds it turns column 0 of T into the product-trapezoid boundary
+      weights. None for the Caputo kinds.
 
     ``weights`` is the dense nodal matrix mapping nodal values to nodal
-    values of the output. It is built on first access and read-only. Left
-    kinds are lower triangular, right kinds upper triangular, and a
-    right-kind matrix equals the matching left-kind matrix conjugated by
-    index reversal i -> n - i. ``unusable`` lists rows where the
-    underlying operator is singular; only the Riemann-Liouville kinds
-    have one (row 0 on the left, row n on the right).
+    values of the output. It is derived from the generator on each
+    access, read-only and not kept. Left kinds are lower triangular,
+    right kinds upper triangular, and a right-kind matrix equals the
+    matching left-kind matrix conjugated by index reversal i -> n - i.
+    ``unusable`` lists rows where the underlying operator is singular;
+    only the Riemann-Liouville kinds have one (row 0 on the left, row n
+    on the right).
     """
 
     kind: OperatorKind
     order: FractionalOrder
     grid: Grid
     kernel: np.ndarray = field(repr=False)
-    nodal: np.ndarray = field(repr=False)
-    boundary: np.ndarray = field(repr=False)
     correction: np.ndarray | None = field(default=None, repr=False)
     unusable: tuple[int, ...] = ()
 
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
         if self.kind.is_integral:
-            w = self._left_matrix
+            w = _lower_toeplitz(self.kernel)
         else:
-            w = _nodal_matrix(self.nodal, self.boundary)
-        return w if self.kind.is_left else _freeze(w[::-1, ::-1].copy())
+            # T acts on f[k+1] - f[k] and fills rows 1 .. n: nodal column
+            # k >= 1 is T's column k - 1 minus its column k, and column 0
+            # is minus T's column 0
+            w = _lower_toeplitz(np.diff(self.kernel, prepend=0.0, append=0.0))
+            w[0, 0] = 0.0
+            w[1:, 0] = -self.kernel
+        if self.correction is not None:
+            w[:, 0] += self.correction
+        return _freeze(w if self.kind.is_left else w[::-1, ::-1].copy())
 
     @cached_property
     def _left_matrix(self) -> np.ndarray:
-        # what apply() multiplies: the n x n first-difference matrix for
-        # derivative kinds, the left nodal matrix for integral kinds
-        if self.kind.is_integral:
-            return _nodal_matrix(self.nodal, self.boundary)
-        if self.kind is not OperatorKind.CAPUTO_LEFT:
-            # all four derivative kinds have the same L1 kernel, so they
-            # share the CAPUTO_LEFT matrix of their (order, grid)
-            return _build(OperatorKind.CAPUTO_LEFT, self.order, self.grid)._left_matrix
+        # the dense T that apply() multiplies. Every kind of one family has
+        # the same kernel, so all share the matrix of the family's left
+        # kind at their (order, grid)
+        family = OperatorKind.INT_LEFT if self.kind.is_integral else OperatorKind.CAPUTO_LEFT
+        if self.kind is not family:
+            return _build(family, self.order, self.grid)._left_matrix
         return _freeze(_lower_toeplitz(self.kernel))
 
 
@@ -281,51 +284,36 @@ def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(padded, m)[::-1])
 
 
-def _nodal_matrix(nodal: np.ndarray, boundary: np.ndarray) -> np.ndarray:
-    """Left-form nodal matrix: Toeplitz in columns 1 .. n, ``boundary`` in column 0."""
-    w = _lower_toeplitz(nodal)
-    w[0, 0] = 0.0
-    w[1:, 0] = boundary
-    return _freeze(w)
-
-
 @lru_cache(maxsize=128)
 def _build(kind: OperatorKind, order: FractionalOrder, grid: Grid) -> FracOperator:
     n, h = grid.n, grid.h
     mu = order.value
 
     if kind.is_integral:
-        # product-trapezoid convolution weights for the order-mu integral
+        # product-trapezoid convolution weights for the order-mu integral;
+        # the correction swaps T's column 0 for the boundary weights
         scale = h**mu / gamma(mu + 2.0)
         d = np.arange(1, n + 1, dtype=np.float64)
         s = np.ones(n + 1)
         s[1:] = (d + 1.0) ** (mu + 1.0) + (d - 1.0) ** (mu + 1.0) - 2.0 * d ** (mu + 1.0)
-        kernel = _freeze(scale * s)
-        boundary = scale * ((d - 1.0) ** (mu + 1.0) - (d - mu - 1.0) * d**mu)
-        return FracOperator(kind, order, grid, kernel, kernel, _freeze(boundary))
+        kernel = scale * s
+        boundary = np.zeros(n + 1)
+        boundary[1:] = scale * ((d - 1.0) ** (mu + 1.0) - (d - mu - 1.0) * d**mu)
+        return FracOperator(kind, order, grid, _freeze(kernel), _freeze(boundary - kernel))
 
-    # b_j = (j+1)^(1-alpha) - j^(1-alpha), the L1 convolution coefficients;
-    # the nodal column holds their differences, so rows sum to zero
+    # b_j = (j+1)^(1-alpha) - j^(1-alpha), the L1 convolution coefficients
     scale = h ** (-mu) / gamma(2.0 - mu)
-    j = np.arange(n + 1, dtype=np.float64)
+    j = np.arange(n, dtype=np.float64)
     b = (j + 1.0) ** (1.0 - mu) - j ** (1.0 - mu)
-    e = np.empty(n + 1)
-    e[0] = b[0]
-    e[1:] = b[1:] - b[:-1]
-    boundary = -scale * b[:n]
     correction = None
     unusable: tuple[int, ...] = ()
     if kind.is_riemann_liouville:
         correction = np.zeros(n + 1)
         correction[1:] = (np.arange(1, n + 1) * h) ** (-mu) / gamma(1.0 - mu)
-        boundary = boundary + correction[1:]
         # at the anchored endpoint the correction blows up; flag the row
         unusable = (0,) if kind.is_left else (n,)
         _freeze(correction)
-    return FracOperator(
-        kind, order, grid, _freeze((scale * b)[:n]), _freeze(scale * e),
-        _freeze(boundary), correction, unusable,
-    )
+    return FracOperator(kind, order, grid, _freeze(scale * b), correction, unusable)
 
 
 def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
@@ -333,11 +321,13 @@ def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
 
     ``order`` is the derivative order alpha for the derivative kinds and
     the integral order mu for the INT kinds; either way it must lie in
-    (0, 1). Building costs O(n) time and memory; the dense matrices are
-    made on first use by ``weights`` or ``apply``. Operators are cached,
-    and their arrays are read-only, so repeated calls with equal
-    arguments are cheap. The four derivative kinds of one (order, grid)
-    share a single first-difference matrix.
+    (0, 1). Building costs O(n) time and memory. ``apply`` makes the
+    dense Toeplitz matrix on its first call, and ``weights`` makes the
+    nodal matrix on each access without keeping it. Operators are
+    cached, and their arrays are read-only, so repeated calls with equal
+    arguments are cheap. All kinds of one family (the four derivative
+    kinds, or the two integral kinds) at one (order, grid) share a
+    single Toeplitz matrix.
     """
     if not isinstance(kind, OperatorKind):
         raise TypeError(f"kind must be an OperatorKind, got {kind!r}")
@@ -351,12 +341,12 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
 
     Every kind is evaluated in left form; right kinds reverse the input
     and the output around it, so they mirror the left kinds bit for bit.
-    Derivative kinds use the first-difference (telescoped) form,
-    y[i] = sum_k kernel[i-1-k] (f[k+1] - f[k]), plus f(a) times the
-    Riemann-Liouville correction. That is algebraically
-    ``op.weights @ f.values`` but annihilates constant inputs bit-exactly.
-    Integral kinds multiply by the nodal matrix. The dense left-form
-    matrix is built on the first call and kept on the operator. Rows
+    The Toeplitz matrix multiplies first differences for derivative
+    kinds, y[i] = sum_k kernel[i-1-k] (f[k+1] - f[k]), which annihilates
+    constant inputs bit-exactly, and nodal values for integral kinds;
+    f(a) times ``op.correction`` is added where there is one. That is
+    algebraically ``op.weights @ f.values``. The dense Toeplitz matrix is
+    built on the first call and shared by the operator's family. Rows
     listed in ``op.unusable`` come back as NaN sentinels that downstream
     quadrature replaces (see quad_trapezoid).
     """
@@ -373,8 +363,8 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     else:
         y = np.zeros(op.grid.n + 1)
         y[1:] = op._left_matrix @ np.diff(v)
-        if op.correction is not None:
-            y = y + v[0] * op.correction
+    if op.correction is not None:
+        y = y + v[0] * op.correction
     if not left:
         y = y[::-1]
     for i in op.unusable:
@@ -428,10 +418,7 @@ def quad_trapezoid(f: SampledFn) -> float:
         idx = np.flatnonzero(finite)
         if idx.size == 0:
             raise ValueError("no finite nodal values to integrate")
-        bad = np.flatnonzero(~finite)
-        if bad.min() > 0 and bad.max() < f.grid.n:
-            raise ValueError(f"non-finite value at interior node {bad.min()}")
-        for i in bad:
+        for i in np.flatnonzero(~finite):
             if i < idx[0]:
                 v[i] = v[idx[0]]
             elif i > idx[-1]:

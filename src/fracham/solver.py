@@ -29,7 +29,7 @@ from .fracnum import (
     gamma,
     trapezoid_weights,
 )
-from .variational import LagrangianSpec, _Evaluation, equivalence_gap, hamilton_residuals
+from .variational import LagrangianSpec, _Evaluation, hamilton_residuals
 
 __all__ = [
     "ExampleProblem",
@@ -200,12 +200,6 @@ def solve(problem: ExampleProblem) -> SolveReport:
     _, _, r_q = hamilton_residuals(spec, ev.bundle())
     hamilton_max = float(np.nanmax(np.abs(r_q.values)))
     return SolveReport(q, qe, max_err, l2_err, functional_value, el.max_abs, hamilton_max)
-
-
-def equivalence_on_trial(alpha, beta: float, trial: SampledFn):
-    """Stationarity-vs-canonical agreement for the model density on a trial."""
-    spec = example_lagrangian(alpha, beta)
-    return equivalence_gap(spec, trial)
 
 
 def convergence_study(

@@ -92,20 +92,43 @@ class TestMatrixStructure:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_fresh_operator_holds_only_its_generator(self, kind):
-        # the dense matrices (~270 MB at this size) wait for weights or apply
+        # the dense Toeplitz matrix (~134 MB at this size) waits for apply
         fracnum._build.cache_clear()
         op = build_operator(kind, 0.5, Grid(0.0, 1.0, 4096))
         held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
         assert held < 1_000_000
 
-    def test_derivative_kinds_share_one_difference_matrix(self):
+    @pytest.mark.parametrize(
+        "family", [DERIVATIVE_KINDS, [K.INT_LEFT, K.INT_RIGHT]], ids=["derivative", "integral"]
+    )
+    def test_family_shares_one_toeplitz_matrix(self, family):
         g = grid01(33)
         f = SampledFn(g, np.sin(g.nodes))
-        ops = [build_operator(kind, 0.29, g) for kind in DERIVATIVE_KINDS]
+        ops = [build_operator(kind, 0.29, g) for kind in family]
         for op in reversed(ops):
             apply(op, f)
-        caputo_left = ops[0]._left_matrix
-        assert all(np.shares_memory(caputo_left, op._left_matrix) for op in ops[1:])
+        left = ops[0]._left_matrix
+        assert all(np.shares_memory(left, op._left_matrix) for op in ops[1:])
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_used_operator_keeps_no_nodal_matrix(self, kind):
+        # weights is derived on each access; apply keeps only the Toeplitz
+        # matrix, which is n x n for derivative kinds and shared by a family
+        n = 4096
+        fracnum._build.cache_clear()
+        try:
+            op = build_operator(kind, 0.5, Grid(0.0, 1.0, n))
+            assert op.weights.shape == (n + 1, n + 1)
+            apply(op, SampledFn(op.grid, np.ones(n + 1)))
+            dense = [v for v in vars(op).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+            if kind.is_integral:
+                assert len(dense) == 1 and np.shares_memory(
+                    dense[0], build_operator(K.INT_LEFT, 0.5, op.grid)._left_matrix
+                )
+            else:
+                assert [v.shape for v in dense] == [(n, n)]
+        finally:
+            fracnum._build.cache_clear()
 
     def test_caputo_row_sums_vanish(self):
         # constants must be annihilated: every row of the nodal matrix sums to ~0

@@ -8,14 +8,18 @@ Six operator kinds are provided for orders in (0, 1):
 * left/right Riemann-Liouville derivatives, realized as the Caputo
   scheme plus the analytic endpoint correction
   f(a) * (x - a)^(-alpha) / Gamma(1 - alpha),
-* left/right fractional integrals of order mu in (0, 1), via the
-  product-trapezoid convolution rule.
+* left/right fractional integrals of order mu in (0, 1), computed as
+  the Riemann-Liouville scheme at order -mu. Like the product-trapezoid
+  rule, it integrates the piecewise-linear interpolant exactly.
 
-Each operator is a triangular weight matrix on the grid: in left form a
-lower-triangular Toeplitz matrix plus one column added times f(a).
-``FracOperator`` stores only that O(n) generator, the Toeplitz column and
-the endpoint column, and derives every dense matrix from it. Left kinds
-only look backward (rows are lower triangular), right kinds only forward.
+So all six kinds share one formula in a signed order nu (alpha for
+derivatives, -mu for integrals). In left form each is a lower-triangular
+Toeplitz matrix acting on first differences of the nodal values, plus
+f(a) times the column (x - a)^(-nu) / Gamma(1 - nu), which Caputo kinds
+omit. ``FracOperator`` stores only that O(n) generator, the Toeplitz
+column and the endpoint column, and derives every dense matrix from it.
+Left kinds only look backward (rows are lower triangular), right kinds
+only forward.
 The Riemann-Liouville kinds are singular at their anchored endpoint
 whenever f does not vanish there; that row is flagged unusable and
 ``apply`` returns NaN in it by convention.
@@ -113,6 +117,8 @@ class Grid:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "n", int(self.n))
+        if not all(map(math.isfinite, (self.a, self.b, self.b - self.a))):
+            raise ValueError(f"need a finite interval, got [{self.a:g}, {self.b:g}]")
         if not (self.b > self.a):
             raise ValueError(f"need b > a, got [{self.a:g}, {self.b:g}]")
         if self.n < 2:
@@ -217,16 +223,16 @@ class FracOperator:
     """One fractional operator on a grid, stored as its Toeplitz generator.
 
     In left form every operator is a lower-triangular Toeplitz matrix T
-    plus one column added times f(a), so two arrays describe it fully:
+    acting on first differences f[k+1] - f[k], plus one column added
+    times f(a), so two arrays describe it fully. With nu the signed
+    order (alpha for derivative kinds, -mu for integral kinds):
 
-    * ``kernel``: the first column of T. For derivative kinds it is the
-      L1 column scale * b_j (n entries) and T acts on first differences;
-      for integral kinds it is the product-trapezoid column scale * s_d
-      with s_0 = 1 (n + 1 entries) and T acts on nodal values.
-    * ``correction``: the column added times f(a) (n + 1 entries). For
-      the Riemann-Liouville kinds it is the endpoint term; for integral
-      kinds it turns column 0 of T into the product-trapezoid boundary
-      weights. None for the Caputo kinds.
+    * ``kernel``: the first column of T, the L1 column
+      h^(-nu) / Gamma(2 - nu) * ((j+1)^(1-nu) - j^(1-nu)), n entries.
+    * ``correction``: the column added times f(a), (x - a)^(-nu) /
+      Gamma(1 - nu) with entry 0 set to 0 (n + 1 entries). For the
+      Riemann-Liouville kinds it is the endpoint term, for the integral
+      kinds the integral of a constant. None for the Caputo kinds.
 
     ``weights`` is the dense nodal matrix mapping nodal values to nodal
     values of the output. It is derived from the generator on each
@@ -247,15 +253,12 @@ class FracOperator:
 
     @property
     def weights(self) -> np.ndarray:
-        if self.kind.is_integral:
-            w = _lower_toeplitz(self.kernel)
-        else:
-            # T acts on f[k+1] - f[k] and fills rows 1 .. n: nodal column
-            # k >= 1 is T's column k - 1 minus its column k, and column 0
-            # is minus T's column 0
-            w = _lower_toeplitz(np.diff(self.kernel, prepend=0.0, append=0.0))
-            w[0, 0] = 0.0
-            w[1:, 0] = -self.kernel
+        # T acts on f[k+1] - f[k] and fills rows 1 .. n: nodal column
+        # k >= 1 is T's column k - 1 minus its column k, and column 0 is
+        # minus T's column 0
+        w = _lower_toeplitz(np.diff(self.kernel, prepend=0.0, append=0.0))
+        w[0, 0] = 0.0
+        w[1:, 0] = -self.kernel
         if self.correction is not None:
             w[:, 0] += self.correction
         return _freeze(w if self.kind.is_left else w[::-1, ::-1].copy())
@@ -287,32 +290,26 @@ def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=128)
 def _build(kind: OperatorKind, order: FractionalOrder, grid: Grid) -> FracOperator:
     n, h = grid.n, grid.h
-    mu = order.value
+    # one signed order for all six kinds: the order-mu integral is the
+    # Riemann-Liouville derivative of order -mu, and the L1 scheme at -mu
+    # integrates the piecewise-linear interpolant exactly
+    nu = -order.value if kind.is_integral else order.value
 
-    if kind.is_integral:
-        # product-trapezoid convolution weights for the order-mu integral;
-        # the correction swaps T's column 0 for the boundary weights
-        scale = h**mu / gamma(mu + 2.0)
-        d = np.arange(1, n + 1, dtype=np.float64)
-        s = np.ones(n + 1)
-        s[1:] = (d + 1.0) ** (mu + 1.0) + (d - 1.0) ** (mu + 1.0) - 2.0 * d ** (mu + 1.0)
-        kernel = scale * s
-        boundary = np.zeros(n + 1)
-        boundary[1:] = scale * ((d - 1.0) ** (mu + 1.0) - (d - mu - 1.0) * d**mu)
-        return FracOperator(kind, order, grid, _freeze(kernel), _freeze(boundary - kernel))
-
-    # b_j = (j+1)^(1-alpha) - j^(1-alpha), the L1 convolution coefficients
-    scale = h ** (-mu) / gamma(2.0 - mu)
+    # b_j = (j+1)^(1-nu) - j^(1-nu), the L1 convolution coefficients
+    scale = h ** (-nu) / gamma(2.0 - nu)
     j = np.arange(n, dtype=np.float64)
-    b = (j + 1.0) ** (1.0 - mu) - j ** (1.0 - mu)
+    b = (j + 1.0) ** (1.0 - nu) - j ** (1.0 - nu)
     correction = None
     unusable: tuple[int, ...] = ()
-    if kind.is_riemann_liouville:
+    if kind not in (OperatorKind.CAPUTO_LEFT, OperatorKind.CAPUTO_RIGHT):
+        # the operator applied to the constant f(a), which the first
+        # differences do not see
         correction = np.zeros(n + 1)
-        correction[1:] = (np.arange(1, n + 1) * h) ** (-mu) / gamma(1.0 - mu)
+        correction[1:] = (np.arange(1, n + 1) * h) ** (-nu) / gamma(1.0 - nu)
+        _freeze(correction)
+    if kind.is_riemann_liouville:
         # at the anchored endpoint the correction blows up; flag the row
         unusable = (0,) if kind.is_left else (n,)
-        _freeze(correction)
     return FracOperator(kind, order, grid, _freeze(scale * b), correction, unusable)
 
 
@@ -321,11 +318,12 @@ def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
 
     ``order`` is the derivative order alpha for the derivative kinds and
     the integral order mu for the INT kinds; either way it must lie in
-    (0, 1). Building costs O(n) time and memory. ``apply`` makes the
-    dense Toeplitz matrix on its first call, and ``weights`` makes the
-    nodal matrix on each access without keeping it. Operators are
-    cached, and their arrays are read-only, so repeated calls with equal
-    arguments are cheap. All kinds of one family (the four derivative
+    (0, 1). Every kind is the L1 scheme at the signed order nu, alpha for
+    derivatives and -mu for integrals. Building costs O(n) time and
+    memory. ``apply`` makes the dense Toeplitz matrix on its first call,
+    and ``weights`` makes the nodal matrix on each access without keeping
+    it. Operators are cached, and their arrays are read-only, so repeated
+    calls with equal arguments are cheap. All kinds of one family (the four derivative
     kinds, or the two integral kinds) at one (order, grid) share a
     single Toeplitz matrix.
     """
@@ -341,14 +339,14 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
 
     Every kind is evaluated in left form; right kinds reverse the input
     and the output around it, so they mirror the left kinds bit for bit.
-    The Toeplitz matrix multiplies first differences for derivative
-    kinds, y[i] = sum_k kernel[i-1-k] (f[k+1] - f[k]), which annihilates
-    constant inputs bit-exactly, and nodal values for integral kinds;
-    f(a) times ``op.correction`` is added where there is one. That is
-    algebraically ``op.weights @ f.values``. The dense Toeplitz matrix is
-    built on the first call and shared by the operator's family. Rows
-    listed in ``op.unusable`` come back as NaN sentinels that downstream
-    quadrature replaces (see quad_trapezoid).
+    The Toeplitz matrix multiplies first differences for every kind,
+    y[i] = sum_k kernel[i-1-k] (f[k+1] - f[k]), which annihilates
+    constant inputs bit-exactly; f(a) times ``op.correction`` is added
+    where there is one. That is algebraically ``op.weights @ f.values``.
+    The dense Toeplitz matrix is built on the first call and shared by
+    the operator's family. Rows listed in ``op.unusable`` come back as
+    NaN sentinels that downstream quadrature replaces (see
+    quad_trapezoid).
     """
     if f.grid != op.grid:
         raise GridMismatchError(
@@ -358,11 +356,8 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     left = op.kind.is_left
     # contiguous reversal keeps the BLAS path identical to a left apply
     v = f.values if left else np.ascontiguousarray(f.values[::-1])
-    if op.kind.is_integral:
-        y = op._left_matrix @ v
-    else:
-        y = np.zeros(op.grid.n + 1)
-        y[1:] = op._left_matrix @ np.diff(v)
+    y = np.zeros(op.grid.n + 1)
+    y[1:] = op._left_matrix @ np.diff(v)
     if op.correction is not None:
         y = y + v[0] * op.correction
     if not left:

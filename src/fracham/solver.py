@@ -202,17 +202,14 @@ def solve(problem: ExampleProblem) -> SolveReport:
     return SolveReport(q, qe, max_err, l2_err, functional_value, el.max_abs, hamilton_max)
 
 
-def convergence_study(
-    alpha, beta: float, n_list, check_monotone: bool = True
-) -> list[ConvergenceRow]:
+def convergence_study(alpha, beta: float, n_list) -> list[ConvergenceRow]:
     """Solve across a list of grid sizes and tabulate the errors.
 
-    n_list must be strictly increasing with every entry >= 8. When
-    check_monotone is set (the default) a ConvergenceError is raised if
-    l2_err ever increases between successive sizes; the exception keeps
-    the computed rows in its ``rows`` attribute. A failing solve raises
-    its own error type unchanged; a SingularSystemError names the grid
-    size in its message.
+    n_list must be strictly increasing with every entry >= 8. A
+    ConvergenceError is raised if l2_err ever increases between
+    successive sizes; the exception keeps the computed rows in its
+    ``rows`` attribute. A failing solve raises its own error type
+    unchanged; a SingularSystemError names the grid size in its message.
     """
     ns = [int(n) for n in n_list]
     if not ns:
@@ -227,12 +224,11 @@ def convergence_study(
         rep = solve(ExampleProblem(as_order(alpha), beta, Grid(0.0, 1.0, n)))
         rows.append(ConvergenceRow(n, rep.max_err, rep.l2_err, rep.el_max, rep.hamilton_max))
 
-    if check_monotone:
-        for prev, cur in zip(rows, rows[1:]):
-            if cur.l2_err > prev.l2_err:
-                raise ConvergenceError(
-                    f"l2 error increased from {prev.l2_err:.6g} (n = {prev.n}) "
-                    f"to {cur.l2_err:.6g} (n = {cur.n})",
-                    rows,
-                )
+    for prev, cur in zip(rows, rows[1:]):
+        if cur.l2_err > prev.l2_err:
+            raise ConvergenceError(
+                f"l2 error increased from {prev.l2_err:.6g} (n = {prev.n}) "
+                f"to {cur.l2_err:.6g} (n = {cur.n})",
+                rows,
+            )
     return rows

@@ -4,14 +4,16 @@ Everything here deliberately avoids the package's own operator code:
 fractional integrals and derivatives are computed with scipy's adaptive
 quadrature (algebraic-weight rule for the endpoint singularity) plus
 central finite differences, gamma references come from the exact
-recurrence seeded at Gamma(1) = 1 and Gamma(0.5) = sqrt(pi), and the
-dense weight matrices are filled entry by entry with plain loops.
+recurrence seeded at Gamma(1) = 1 and Gamma(0.5) = sqrt(pi), convolution
+coefficients are evaluated in mpmath's extended precision, and the dense
+weight matrices are filled entry by entry with plain loops.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -70,6 +72,17 @@ def gamma_recurrence_table(count: int = 20) -> list[tuple[float, float]]:
     return table
 
 
+def integral_coefficient_mpmath(j: int, mu: float) -> float:
+    """(j+1)^(1+mu) - j^(1+mu) at 40 significant digits, rounded to float.
+
+    ``mu`` is taken as the exact binary value of the float, so the only
+    error left is the final rounding.
+    """
+    with mpmath.workdps(40):
+        p = 1 + mpmath.mpf(mu)
+        return float((mpmath.mpf(j) + 1) ** p - mpmath.mpf(j) ** p)
+
+
 def l1_weights_loops(n: int, alpha: float, h: float, riemann_liouville: bool = False):
     """Left-form nodal matrix of the L1 Caputo scheme, one entry at a time.
 
@@ -91,7 +104,12 @@ def l1_weights_loops(n: int, alpha: float, h: float, riemann_liouville: bool = F
 
 
 def int_weights_loops(n: int, mu: float, h: float):
-    """Left-form nodal matrix of the product-trapezoid order-mu integral."""
+    """Left-form nodal matrix of the product-trapezoid order-mu integral.
+
+    The package computes integrals as the L1 scheme at order -mu; both
+    rules integrate the piecewise-linear interpolant exactly, so this
+    independent fill checks that the two agree.
+    """
     scale = h**mu / math.gamma(mu + 2.0)
     s = [0.0] * (n + 1)
     for d in range(1, n + 1):

@@ -277,9 +277,13 @@ class TestParameterChecks:
         ["deriv", "--kind", "rl-right", "--alpha", "0.5", "--fn", "t", "--interval", "2:2"],
         ["deriv", "--kind", "int-left", "--alpha", "1.0", "--fn", "t"],
         ["deriv", "--kind", "caputo-right", "--alpha", "-0.5", "--fn", "pow(t,-1)"],
+        ["deriv", "--kind", "caputo-left", "--alpha", "0.5", "--fn", "1", "--interval", "0:inf"],
+        ["deriv", "--kind", "caputo-left", "--alpha", "0.5", "--fn", "1",
+         "--interval=-1e308:1e308"],
     ], ids=["converge-alpha-ge-beta", "converge-decreasing", "converge-entry-below-8",
             "converge-alpha-one", "converge-alpha-zero", "deriv-reversed-interval",
-            "deriv-empty-interval", "deriv-order-one", "deriv-negative-order"])
+            "deriv-empty-interval", "deriv-order-one", "deriv-negative-order",
+            "deriv-infinite-interval", "deriv-overflowing-interval"])
     def test_exits_2_with_no_output(self, argv):
         code, out, err = run_cli(*argv)
         assert code == EXIT_USAGE

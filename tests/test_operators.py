@@ -21,6 +21,7 @@ from fracham import (
 from oracles import (
     caputo_left_quadrature,
     frac_integral_quadrature,
+    integral_coefficient_mpmath,
     rl_left_quadrature,
     weights_loops,
 )
@@ -316,6 +317,34 @@ class TestFractionalIntegral:
         out = apply(build_operator(K.INT_LEFT, mu, g), SampledFn(g, g.nodes))
         ref = frac_integral_quadrature(lambda s: s, 0.5, 0.0, mu)
         assert out.values[64] == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("kind", [K.INT_LEFT, K.INT_RIGHT])
+    def test_linear_data_is_exact_at_large_n(self, kind, mu):
+        # the scheme integrates the piecewise-linear interpolant exactly, so
+        # on linear data only rounding is left, even at large n
+        fracnum._build.cache_clear()
+        try:
+            g = grid01(4096)
+            s = g.nodes if kind.is_left else 1.0 - g.nodes  # distance from the anchor
+            out = apply(build_operator(kind, mu, g), SampledFn(g, 2.0 - 3.0 * s))
+            exact = 2.0 * s**mu / math.gamma(1.0 + mu) - 3.0 * s ** (1.0 + mu) / math.gamma(2.0 + mu)
+            assert np.max(np.abs(out.values - exact)) <= 1e-14
+        finally:
+            fracnum._build.cache_clear()
+
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 0.9])
+    def test_kernel_against_mpmath_at_large_lags(self, mu):
+        # the generator is scale * ((j+1)^(1+mu) - j^(1+mu)); the ratio to
+        # kernel[0] cancels the scale. One ulp of (j+1)^(1+mu) is up to
+        # eps (j+1) / (1+mu) of that difference, so the error may grow
+        # linearly in the lag, but not like second differences (eps j^2)
+        n = 10**5
+        kernel = build_operator(K.INT_LEFT, mu, grid01(n)).kernel
+        lags = np.unique(np.geomspace(1, n, 60).astype(int)) - 1
+        ref = np.array([integral_coefficient_mpmath(int(j), mu) for j in lags])
+        rel = np.abs(kernel[lags] / kernel[0] - ref) / ref
+        assert np.all(rel <= 2 * np.finfo(float).eps * (lags + 1))
 
 
 # ---------------------------------------------------------------------------

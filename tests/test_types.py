@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,13 @@ class TestGrid:
     def test_rejects_bad_input(self, a, b, n):
         with pytest.raises(ValueError):
             Grid(a, b, n)
+
+    @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
+                                     (0.0, math.nan), (-1e308, 1e308)])
+    def test_rejects_non_finite_interval(self, a, b):
+        # the last case overflows b - a, and with it h
+        with pytest.raises(ValueError, match="finite interval"):
+            Grid(a, b, 4)
 
     def test_value_equality_and_hash(self):
         assert Grid(0, 1, 8) == Grid(0.0, 1.0, 8)

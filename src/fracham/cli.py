@@ -9,7 +9,8 @@ separated, comments prefixed with '#'):
     converge           refinement study across a list of grid sizes
 
 Exit codes: 0 success / thresholds met, 1 threshold failure, 2 usage or
-parameter error, 3 numeric domain error.
+parameter error (including a grid too large for memory), 3 numeric
+domain error.
 """
 
 from __future__ import annotations
@@ -367,6 +368,10 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # dense operators take O(n^2) memory, so this means n is too large
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

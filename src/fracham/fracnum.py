@@ -17,7 +17,7 @@ derivatives, -mu for integrals). In left form each is a lower-triangular
 Toeplitz matrix acting on first differences of the nodal values, plus
 f(a) times the column (x - a)^(-nu) / Gamma(1 - nu), which Caputo kinds
 omit. ``FracOperator`` stores only that O(n) generator, the Toeplitz
-column and the endpoint column, and derives every dense matrix from it.
+column and the endpoint column, and derives the dense T from it.
 Left kinds only look backward (rows are lower triangular), right kinds
 only forward.
 The Riemann-Liouville kinds are singular at their anchored endpoint
@@ -234,14 +234,10 @@ class FracOperator:
       Riemann-Liouville kinds it is the endpoint term, for the integral
       kinds the integral of a constant. None for the Caputo kinds.
 
-    ``weights`` is the dense nodal matrix mapping nodal values to nodal
-    values of the output. It is derived from the generator on each
-    access, read-only and not kept. Left kinds are lower triangular,
-    right kinds upper triangular, and a right-kind matrix equals the
-    matching left-kind matrix conjugated by index reversal i -> n - i.
-    ``unusable`` lists rows where the underlying operator is singular;
-    only the Riemann-Liouville kinds have one (row 0 on the left, row n
-    on the right).
+    Right kinds are the left kinds conjugated by index reversal
+    i -> n - i. ``unusable`` lists rows where the underlying operator is
+    singular; only the Riemann-Liouville kinds have one (row 0 on the
+    left, row n on the right).
     """
 
     kind: OperatorKind
@@ -250,18 +246,6 @@ class FracOperator:
     kernel: np.ndarray = field(repr=False)
     correction: np.ndarray | None = field(default=None, repr=False)
     unusable: tuple[int, ...] = ()
-
-    @property
-    def weights(self) -> np.ndarray:
-        # T acts on f[k+1] - f[k] and fills rows 1 .. n: nodal column
-        # k >= 1 is T's column k - 1 minus its column k, and column 0 is
-        # minus T's column 0
-        w = _lower_toeplitz(np.diff(self.kernel, prepend=0.0, append=0.0))
-        w[0, 0] = 0.0
-        w[1:, 0] = -self.kernel
-        if self.correction is not None:
-            w[:, 0] += self.correction
-        return _freeze(w if self.kind.is_left else w[::-1, ::-1].copy())
 
     @cached_property
     def _left_matrix(self) -> np.ndarray:
@@ -320,12 +304,11 @@ def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
     the integral order mu for the INT kinds; either way it must lie in
     (0, 1). Every kind is the L1 scheme at the signed order nu, alpha for
     derivatives and -mu for integrals. Building costs O(n) time and
-    memory. ``apply`` makes the dense Toeplitz matrix on its first call,
-    and ``weights`` makes the nodal matrix on each access without keeping
-    it. Operators are cached, and their arrays are read-only, so repeated
-    calls with equal arguments are cheap. All kinds of one family (the four derivative
-    kinds, or the two integral kinds) at one (order, grid) share a
-    single Toeplitz matrix.
+    memory. ``apply`` makes the dense Toeplitz matrix on its first call.
+    Operators are cached, and their arrays are read-only, so repeated
+    calls with equal arguments are cheap. All kinds of one family (the
+    four derivative kinds, or the two integral kinds) at one (order,
+    grid) share a single Toeplitz matrix.
     """
     if not isinstance(kind, OperatorKind):
         raise TypeError(f"kind must be an OperatorKind, got {kind!r}")
@@ -342,11 +325,10 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     The Toeplitz matrix multiplies first differences for every kind,
     y[i] = sum_k kernel[i-1-k] (f[k+1] - f[k]), which annihilates
     constant inputs bit-exactly; f(a) times ``op.correction`` is added
-    where there is one. That is algebraically ``op.weights @ f.values``.
-    The dense Toeplitz matrix is built on the first call and shared by
-    the operator's family. Rows listed in ``op.unusable`` come back as
-    NaN sentinels that downstream quadrature replaces (see
-    quad_trapezoid).
+    where there is one. The dense Toeplitz matrix is built on the first
+    call and shared by the operator's family. Rows listed in
+    ``op.unusable`` come back as NaN sentinels that downstream quadrature
+    replaces (see quad_trapezoid).
     """
     if f.grid != op.grid:
         raise GridMismatchError(

@@ -151,17 +151,23 @@ def assemble(problem: ExampleProblem) -> tuple[np.ndarray, np.ndarray]:
 
     With B = sqrt(W) D_interior the matrix is B^T B, symmetric positive
     definite; the boundary columns of D are folded into the right-hand
-    side. Raises SingularSystemError when the spectral condition estimate
-    exceeds 1e14.
+    side. D is taken from the cached left-Caputo Toeplitz matrix that
+    ``apply`` uses. Raises SingularSystemError when the spectral
+    condition estimate exceeds 1e14.
     """
     grid = problem.grid
-    d = build_operator(OperatorKind.CAPUTO_LEFT, problem.alpha, grid).weights
-    sqw = np.sqrt(trapezoid_weights(grid))
-    g = target_velocity(problem)
-    rhs_field = g - d[:, -1] * problem.q_right - d[:, 0] * problem.q_left
-    b = sqw[:, None] * d[:, 1:-1]
+    t = build_operator(OperatorKind.CAPUTO_LEFT, problem.alpha, grid)._left_matrix
+    # row 0 of D and g(0) vanish, so only rows 1 .. n enter; there T acts on
+    # first differences, so nodal column k is T's column k - 1 minus its
+    # column k, column 0 is -T[:, 0] and column n is T[:, -1]
+    sqw = np.sqrt(trapezoid_weights(grid)[1:])
+    g = target_velocity(problem)[1:]
+    rhs_field = g - t[:, -1] * problem.q_right + t[:, 0] * problem.q_left
+    b = t[:, :-1] - t[:, 1:]
+    b *= sqw[:, None]
     matrix = b.T @ b
     rhs = b.T @ (sqw * rhs_field)
+    del b
     ev = np.linalg.eigvalsh(matrix)
     if ev[0] <= 0.0 or ev[-1] / ev[0] > _COND_LIMIT:
         cond = np.inf if ev[0] <= 0.0 else ev[-1] / ev[0]

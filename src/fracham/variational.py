@@ -148,7 +148,7 @@ class ELReport:
 class EquivalenceReport:
     """Agreement between the stationarity residual and the canonical route."""
 
-    gap: float           # max |el + r_q| over usable nodes
+    gap: float           # max |el + r_q| over the interior nodes
     el_max: float
     hamilton_max: float  # max |r_q|
     el_l2: float
@@ -213,11 +213,14 @@ class _Evaluation:
 
 
 def _weighted_norms(res: np.ndarray, grid: Grid) -> tuple[float, float]:
-    mask = np.isfinite(res)
-    w = trapezoid_weights(grid)
-    max_abs = float(np.max(np.abs(res[mask])))
-    l2 = float(np.sqrt(np.sum(w[mask] * res[mask] ** 2)))
-    return max_abs, l2
+    # rows 0 and n hold the Riemann-Liouville sentinels; any other
+    # non-finite entry comes from the density and is an error
+    inner = res[1:-1]
+    if not np.isfinite(inner).all():
+        i = 1 + int(np.flatnonzero(~np.isfinite(inner))[0])
+        raise ValueError(f"residual is not finite at node {i} (t = {grid.nodes[i]:g})")
+    w = trapezoid_weights(grid)[1:-1]
+    return float(np.max(np.abs(inner))), float(np.sqrt(np.sum(w * inner**2)))
 
 
 def evaluate_functional(spec: LagrangianSpec, q: SampledFn) -> float:
@@ -230,7 +233,7 @@ def el_residual(spec: LagrangianSpec, q: SampledFn) -> ELReport:
 
     The two Riemann-Liouville terms are singular at one endpoint each,
     so the residual carries NaN sentinels at both ends and the norms run
-    over the interior.
+    over the interior, where a non-finite entry raises ValueError.
     """
     return _Evaluation(spec, q).stationarity()
 
@@ -323,8 +326,6 @@ def equivalence_gap(spec: LagrangianSpec, q: SampledFn) -> EquivalenceReport:
     ev = _Evaluation(spec, q)
     el = ev.stationarity()
     _, _, r_q = hamilton_residuals(spec, ev.bundle())
-    s = el.residual.values + r_q.values
-    mask = np.isfinite(s)
-    gap = float(np.max(np.abs(s[mask])))
     rq_max, rq_l2 = _weighted_norms(r_q.values, q.grid)
+    gap = float(np.max(np.abs(el.residual.values[1:-1] + r_q.values[1:-1])))
     return EquivalenceReport(gap, el.max_abs, rq_max, el.l2, rq_l2)

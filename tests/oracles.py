@@ -6,7 +6,9 @@ quadrature (algebraic-weight rule for the endpoint singularity) plus
 central finite differences, gamma references come from the exact
 recurrence seeded at Gamma(1) = 1 and Gamma(0.5) = sqrt(pi), convolution
 coefficients are evaluated in mpmath's extended precision, and the dense
-weight matrices are filled entry by entry with plain loops.
+weight matrices are filled entry by entry with plain loops. The dense
+nodal matrix of an operator is formed here from its stored generator, as
+the reference for the package's Toeplitz evaluation and Ritz system.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import mpmath
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import toeplitz
 
 
 def frac_integral_quadrature(f, x: float, a: float, mu: float) -> float:
@@ -138,3 +141,21 @@ def weights_loops(kind: str, order: float, a: float, b: float, n: int):
     else:
         w = l1_weights_loops(n, order, h, riemann_liouville=family == "rl")
     return w if side == "left" else w[::-1, ::-1]
+
+
+def nodal_matrix(op) -> np.ndarray:
+    """Dense matrix mapping nodal values to the operator's nodal output.
+
+    Formed from the generator ``(kernel, correction)``: in left form T
+    acts on f[k+1] - f[k] and fills rows 1 .. n, so nodal column k >= 1
+    is T's column k - 1 minus its column k, and column 0 is minus T's
+    column 0 plus ``correction``. Right kinds are the left matrix
+    conjugated by index reversal.
+    """
+    col = np.diff(op.kernel, prepend=0.0, append=0.0)
+    w = toeplitz(col, np.zeros_like(col))
+    w[0, 0] = 0.0
+    w[1:, 0] = -op.kernel
+    if op.correction is not None:
+        w[:, 0] += op.correction
+    return w if op.kind.is_left else w[::-1, ::-1].copy()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fracham.solver
+from fracham import fracnum
 from fracham.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -262,6 +263,24 @@ class TestNumericFailures:
                                "--n-list", "64,128")
         assert code == EXIT_DOMAIN
         assert "n = 64" in err
+
+
+class TestOutOfMemory:
+    def test_exits_2_with_one_error_line(self, monkeypatch):
+        # a grid too large for the dense operator matrix is a parameter error
+        def no_memory(col):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(fracnum, "_lower_toeplitz", no_memory)
+        fracnum._build.cache_clear()
+        try:
+            code, out, err = run_cli("deriv", "--kind", "caputo-left", "--alpha", "0.5",
+                                     "--fn", "pow(t,1)", "--n", "64")
+        finally:
+            fracnum._build.cache_clear()
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB\n"
 
 
 class TestParameterChecks:

@@ -22,6 +22,7 @@ from oracles import (
     caputo_left_quadrature,
     frac_integral_quadrature,
     integral_coefficient_mpmath,
+    nodal_matrix,
     rl_left_quadrature,
     weights_loops,
 )
@@ -53,11 +54,11 @@ def max_finite(values):
 class TestMatrixStructure:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_triangularity(self, kind):
-        op = build_operator(kind, 0.4, grid01(12))
+        w = nodal_matrix(build_operator(kind, 0.4, grid01(12)))
         if kind.is_left:
-            assert np.array_equal(np.triu(op.weights, 1), np.zeros_like(op.weights))
+            assert np.array_equal(np.triu(w, 1), np.zeros_like(w))
         else:
-            assert np.array_equal(np.tril(op.weights, -1), np.zeros_like(op.weights))
+            assert np.array_equal(np.tril(w, -1), np.zeros_like(w))
 
     @pytest.mark.parametrize(
         "left,right",
@@ -65,8 +66,8 @@ class TestMatrixStructure:
     )
     def test_mirror_conjugation_is_exact(self, left, right):
         g = grid01(15)
-        wl = build_operator(left, 0.35, g).weights
-        wr = build_operator(right, 0.35, g).weights
+        wl = nodal_matrix(build_operator(left, 0.35, g))
+        wr = nodal_matrix(build_operator(right, 0.35, g))
         assert np.array_equal(wr, wl[::-1, ::-1])
 
     @pytest.mark.parametrize(
@@ -80,7 +81,7 @@ class TestMatrixStructure:
         # differ by an ulp, and the coefficients cancel power terms as large
         # as (n + 1)^(1 + order) times the diagonal: allow a few ulps of that
         ref = weights_loops(kind.value, order, a, b, n)
-        w = build_operator(kind, order, Grid(a, b, n)).weights
+        w = nodal_matrix(build_operator(kind, order, Grid(a, b, n)))
         atol = 4 * np.finfo(float).eps * (n + 1) ** (1 + order) * np.max(np.abs(ref))
         assert np.allclose(w, ref, rtol=1e-11, atol=atol)
 
@@ -113,13 +114,14 @@ class TestMatrixStructure:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_used_operator_keeps_no_nodal_matrix(self, kind):
-        # weights is derived on each access; apply keeps only the Toeplitz
-        # matrix, which is n x n for derivative kinds and shared by a family
+        # the nodal matrix is derived from the generator and not kept; apply
+        # keeps only the Toeplitz matrix, n x n for derivative kinds and
+        # shared by a family
         n = 4096
         fracnum._build.cache_clear()
         try:
             op = build_operator(kind, 0.5, Grid(0.0, 1.0, n))
-            assert op.weights.shape == (n + 1, n + 1)
+            assert nodal_matrix(op).shape == (n + 1, n + 1)
             apply(op, SampledFn(op.grid, np.ones(n + 1)))
             dense = [v for v in vars(op).values() if isinstance(v, np.ndarray) and v.ndim == 2]
             if kind.is_integral:
@@ -133,8 +135,12 @@ class TestMatrixStructure:
 
     def test_caputo_row_sums_vanish(self):
         # constants must be annihilated: every row of the nodal matrix sums to ~0
-        w = build_operator(K.CAPUTO_LEFT, 0.5, grid01(64)).weights
+        w = nodal_matrix(build_operator(K.CAPUTO_LEFT, 0.5, grid01(64)))
         assert np.max(np.abs(w.sum(axis=1))) < 1e-12 * np.max(np.abs(w))
+
+    def test_operator_holds_no_nodal_matrix_attribute(self):
+        # the dense nodal matrix is a test reference, oracles.nodal_matrix
+        assert not hasattr(build_operator(K.CAPUTO_LEFT, 0.5, grid01(8)), "weights")
 
     def test_operators_are_cached_and_frozen(self):
         g = grid01(8)
@@ -142,7 +148,7 @@ class TestMatrixStructure:
         b = build_operator(K.CAPUTO_LEFT, FractionalOrder(0.5), Grid(0.0, 1.0, 8))
         assert a is b
         with pytest.raises(ValueError):
-            a.weights[0, 0] = 1.0
+            a.kernel[0] = 1.0
 
     def test_rejects_bad_arguments(self):
         g = grid01(8)
@@ -162,7 +168,7 @@ class TestMatrixStructure:
         rng = np.random.default_rng(11)
         op = build_operator(kind, 0.6, g)
         f = SampledFn(g, rng.standard_normal(41))
-        direct = op.weights @ f.values
+        direct = nodal_matrix(op) @ f.values
         via_apply = apply(op, f).values
         mask = np.isfinite(via_apply)
         scale = max(1.0, np.max(np.abs(direct[mask])))

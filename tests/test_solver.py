@@ -2,21 +2,26 @@ import numpy as np
 import pytest
 
 import fracham.solver
+from fracham import fracnum
 from fracham import (
     ConvergenceError,
     ExampleProblem,
     FractionalOrder,
     Grid,
+    OperatorKind,
     SampledFn,
     SingularSystemError,
     assemble,
+    build_operator,
     convergence_study,
     evaluate_functional,
     exact_solution,
     example_lagrangian,
     solve,
     target_velocity,
+    trapezoid_weights,
 )
+from oracles import nodal_matrix
 
 HALF_TO_THREE_QUARTERS = 0.5946035575013605  # 0.5 ** 0.75
 
@@ -60,6 +65,38 @@ class TestAssemble:
         matrix, _ = assemble(problem(64))
         ev = np.linalg.eigvalsh(matrix)
         assert ev[0] > 0.0
+
+    @pytest.mark.parametrize("n", [4, 64, 1024])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    def test_matches_nodal_normal_equations(self, alpha, n):
+        # the same system formed from the dense nodal matrix D: B = sqrt(W) D
+        # over the interior columns, boundary columns folded into the rhs
+        p = problem(n, alpha=alpha, beta=(1.0 + alpha) / 2.0)
+        d = nodal_matrix(build_operator(OperatorKind.CAPUTO_LEFT, alpha, p.grid))
+        sqw = np.sqrt(trapezoid_weights(p.grid))
+        field = target_velocity(p) - d[:, -1] * p.q_right - d[:, 0] * p.q_left
+        b = sqw[:, None] * d[:, 1:-1]
+        matrix, rhs = assemble(p)
+        for got, ref in ((matrix, b.T @ b), (rhs, b.T @ (sqw * field))):
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_solve_builds_one_dense_matrix(self, monkeypatch):
+        # the Ritz system and the residual evaluation share the cached
+        # left-Caputo Toeplitz matrix
+        calls = []
+        build = fracnum._lower_toeplitz
+
+        def counting(col):
+            calls.append(col.size)
+            return build(col)
+
+        monkeypatch.setattr(fracnum, "_lower_toeplitz", counting)
+        fracnum._build.cache_clear()
+        try:
+            solve(problem(64))
+        finally:
+            fracnum._build.cache_clear()
+        assert len(calls) == 1
 
 
 class TestSolve:
@@ -114,6 +151,18 @@ class TestConvergenceStudy:
     def test_near_boundary_orders(self):
         rows = convergence_study(0.9, 0.95, [64, 128])
         assert rows[1].l2_err <= rows[0].l2_err
+
+    @pytest.mark.parametrize(
+        "alpha,first,last", [(0.02, 1.31e-4, 1.61e-5), (0.5, 1.53e-3, 1.51e-4),
+                             (0.98, 1.71e-4, 3.11e-5)],
+    )
+    def test_refinement_over_the_order_range(self, alpha, first, last):
+        rows = convergence_study(alpha, (1.0 + alpha) / 2.0, [64, 128, 256, 512])
+        l2 = [r.l2_err for r in rows]
+        assert all(b < a for a, b in zip(l2, l2[1:]))
+        # the values at n = 64 and n = 512, to the three digits recorded
+        assert l2[0] == pytest.approx(first, rel=5e-3)
+        assert l2[-1] == pytest.approx(last, rel=5e-3)
 
     @pytest.mark.parametrize("bad", [[], [4, 8], [64, 64], [128, 64]])
     def test_rejects_bad_lists(self, bad):

@@ -150,6 +150,25 @@ class TestElResidual:
         assert np.array_equal(vals[1:-1], np.ones(31))
         assert rep.max_abs == 1.0
 
+    def test_non_finite_interior_partial_is_an_error(self):
+        # only rows 0 and n may be NaN (the Riemann-Liouville sentinels);
+        # a NaN the density puts at an interior node must not vanish from
+        # the norms or the equivalence gap
+        spec = LagrangianSpec(
+            eval_L=lambda t, q, dl, dr: 0.5 * dl**2 + 0.5 * q**2,
+            dL_dq=lambda t, q, dl, dr: np.where(np.asarray(t) == 0.5, np.nan, q),
+            dL_ddL=lambda t, q, dl, dr: dl,
+            dL_ddR=_zeros,
+            alpha=0.5,
+            beta=0.5,
+        )
+        g = Grid(0.0, 1.0, 32)
+        q = SampledFn(g, np.sin(g.nodes))
+        with pytest.raises(ValueError, match=r"node 16 \(t = 0.5\)"):
+            el_residual(spec, q)
+        with pytest.raises(ValueError, match=r"node 16 \(t = 0.5\)"):
+            equivalence_gap(spec, q)
+
     def test_kinetic_density_on_constant_is_exactly_stationary(self):
         g = Grid(0.0, 1.0, 32)
         rep = el_residual(kinetic_spec(0.5), SampledFn(g, np.full(33, 4.0)))

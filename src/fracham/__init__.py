@@ -11,51 +11,15 @@ The package has three layers plus a CLI:
   energy, and the canonical equation defects;
 * :mod:`fracham.solver` - a direct Ritz solver for the model quadratic
   functional whose minimizer is t^beta, with a refinement-study harness.
+
+The public API is the union of the three modules' ``__all__``, plus
+``active_backend`` and ``__version__``.
 """
 
-from .fracnum import (
-    DomainError,
-    FracOperator,
-    FractionalOrder,
-    Grid,
-    GridMismatchError,
-    OperatorKind,
-    SampledFn,
-    apply,
-    as_order,
-    build_operator,
-    caputo_power_rule,
-    gamma,
-    quad_trapezoid,
-    trapezoid_weights,
-)
-from .solver import (
-    ConvergenceError,
-    ConvergenceRow,
-    ExampleProblem,
-    SingularSystemError,
-    SolveReport,
-    assemble,
-    convergence_study,
-    example_lagrangian,
-    exact_solution,
-    solve,
-    target_velocity,
-)
-from .variational import (
-    ELReport,
-    EquivalenceReport,
-    LagrangianSpec,
-    TrajectoryBundle,
-    el_residual,
-    energy_defect,
-    equivalence_gap,
-    evaluate_functional,
-    hamilton_residuals,
-    hamiltonian,
-    momenta,
-    transversality_terms,
-)
+from . import fracnum, solver, variational
+from .fracnum import *  # noqa: F401,F403
+from .solver import *  # noqa: F401,F403
+from .variational import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
@@ -65,44 +29,5 @@ def active_backend() -> str:
     return "numpy"
 
 
-__all__ = [
-    "active_backend",
-    "DomainError",
-    "GridMismatchError",
-    "Grid",
-    "FractionalOrder",
-    "SampledFn",
-    "OperatorKind",
-    "FracOperator",
-    "gamma",
-    "as_order",
-    "build_operator",
-    "apply",
-    "caputo_power_rule",
-    "trapezoid_weights",
-    "quad_trapezoid",
-    "LagrangianSpec",
-    "TrajectoryBundle",
-    "ELReport",
-    "EquivalenceReport",
-    "evaluate_functional",
-    "el_residual",
-    "transversality_terms",
-    "momenta",
-    "hamiltonian",
-    "hamilton_residuals",
-    "energy_defect",
-    "equivalence_gap",
-    "ExampleProblem",
-    "SolveReport",
-    "ConvergenceRow",
-    "SingularSystemError",
-    "ConvergenceError",
-    "example_lagrangian",
-    "target_velocity",
-    "exact_solution",
-    "assemble",
-    "solve",
-    "convergence_study",
-    "__version__",
-]
+__all__ = [*fracnum.__all__, *variational.__all__, *solver.__all__,
+           "active_backend", "__version__"]

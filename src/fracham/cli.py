@@ -9,8 +9,8 @@ separated, comments prefixed with '#'):
     converge           refinement study across a list of grid sizes
 
 Exit codes: 0 success / thresholds met, 1 threshold failure, 2 usage or
-parameter error (including a grid too large for memory), 3 numeric
-domain error.
+parameter error (including a grid too large for memory or an --out path
+that cannot be written), 3 numeric domain error.
 """
 
 from __future__ import annotations
@@ -194,8 +194,11 @@ def _parse_interval(text: str) -> tuple[float, float]:
 def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(EXIT_USAGE, f"cannot write {out_path}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

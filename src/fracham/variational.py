@@ -211,6 +211,13 @@ class _Evaluation:
         h = p_a.values * self.dl.values + p_b.values * self.dr.values - lv
         return TrajectoryBundle(self.q, self.dl, self.dr, p_a, p_b, SampledFn(self.q.grid, h))
 
+    def equivalence(self) -> EquivalenceReport:
+        el = self.stationarity()
+        _, _, r_q = hamilton_residuals(self.spec, self.bundle())
+        rq_max, rq_l2 = _weighted_norms(r_q.values, self.q.grid)
+        gap = float(np.max(np.abs(el.residual.values[1:-1] + r_q.values[1:-1])))
+        return EquivalenceReport(gap, el.max_abs, rq_max, el.l2, rq_l2)
+
 
 def _weighted_norms(res: np.ndarray, grid: Grid) -> tuple[float, float]:
     # rows 0 and n hold the Riemann-Liouville sentinels; any other
@@ -323,9 +330,4 @@ def equivalence_gap(spec: LagrangianSpec, q: SampledFn) -> EquivalenceReport:
     same Riemann-Liouville matrices, so the gap is rounding-level for
     any trajectory, however far from stationary.
     """
-    ev = _Evaluation(spec, q)
-    el = ev.stationarity()
-    _, _, r_q = hamilton_residuals(spec, ev.bundle())
-    rq_max, rq_l2 = _weighted_norms(r_q.values, q.grid)
-    gap = float(np.max(np.abs(el.residual.values[1:-1] + r_q.values[1:-1])))
-    return EquivalenceReport(gap, el.max_abs, rq_max, el.l2, rq_l2)
+    return _Evaluation(spec, q).equivalence()

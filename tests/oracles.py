@@ -86,6 +86,17 @@ def integral_coefficient_mpmath(j: int, mu: float) -> float:
         return float((mpmath.mpf(j) + 1) ** p - mpmath.mpf(j) ** p)
 
 
+def l1_coefficient_mpmath(j: int, alpha: float) -> float:
+    """(j+1)^(1-alpha) - j^(1-alpha) at 50 significant digits, rounded to float.
+
+    ``alpha`` is taken as the exact binary value of the float, so the only
+    error left is the final rounding.
+    """
+    with mpmath.workdps(50):
+        p = 1 - mpmath.mpf(alpha)
+        return float((mpmath.mpf(j) + 1) ** p - mpmath.mpf(j) ** p)
+
+
 def l1_weights_loops(n: int, alpha: float, h: float, riemann_liouville: bool = False):
     """Left-form nodal matrix of the L1 Caputo scheme, one entry at a time.
 

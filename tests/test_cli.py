@@ -283,6 +283,24 @@ class TestOutOfMemory:
         assert err == "error: out of memory: Unable to allocate 7.28 TiB\n"
 
 
+class TestUnwritableOut:
+    """An --out path that cannot be written is a usage error, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["deriv", "--kind", "caputo-left", "--alpha", "0.5", "--fn", "t", "--n", "8"],
+        ["solve-example", "--alpha", "0.5", "--beta", "0.75", "--n", "16"],
+    ], ids=["deriv", "solve-example"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_exits_2_with_one_error_line(self, tmp_path, argv, target):
+        path = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+        code, out, err = run_cli(*argv, "--out", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestParameterChecks:
     """The library's checks reach the command line as usage errors."""
 

@@ -22,6 +22,7 @@ from oracles import (
     caputo_left_quadrature,
     frac_integral_quadrature,
     integral_coefficient_mpmath,
+    l1_coefficient_mpmath,
     nodal_matrix,
     rl_left_quadrature,
     weights_loops,
@@ -261,6 +262,30 @@ class TestCaputo:
             out = apply(build_operator(K.CAPUTO_LEFT, alpha, g), SampledFn(g, g.nodes))
             exact = g.nodes ** (1.0 - alpha) / gamma(2.0 - alpha)
             assert np.max(np.abs((out.values - exact)[1:1024])) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [
+        0.02,
+        0.5,
+        pytest.param(1 - 1e-6, marks=pytest.mark.xfail(
+            strict=True, reason="cancellation in the direct form, ROADMAP item 4")),
+        pytest.param(1 - 1e-9, marks=pytest.mark.xfail(
+            strict=True, reason="cancellation in the direct form, ROADMAP item 4")),
+    ])
+    def test_l1_kernel_against_mpmath_at_large_lags(self, alpha):
+        # the generator is scale * ((j+1)^(1-alpha) - j^(1-alpha)); the ratio
+        # to kernel[0] cancels the scale. The direct difference of powers
+        # loses about eps (j+1) / (1-alpha) relative, so near alpha = 1 it
+        # exceeds the bound of 4 eps (j+1)
+        n = 10**6
+        fracnum._build.cache_clear()
+        try:
+            kernel = build_operator(K.CAPUTO_LEFT, alpha, grid01(n)).kernel
+        finally:
+            fracnum._build.cache_clear()
+        lags = np.unique(np.geomspace(1, n, 60).astype(int)) - 1
+        ref = np.array([l1_coefficient_mpmath(int(j), alpha) for j in lags])
+        rel = np.abs(kernel[lags] / kernel[0] - ref) / ref
+        assert np.all(rel <= 4 * np.finfo(float).eps * (lags + 1))
 
 
 class TestRiemannLiouville:

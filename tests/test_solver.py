@@ -14,6 +14,7 @@ from fracham import (
     assemble,
     build_operator,
     convergence_study,
+    equivalence_gap,
     evaluate_functional,
     exact_solution,
     example_lagrangian,
@@ -134,6 +135,16 @@ class TestSolve:
             assert rep.hamilton_max == pytest.approx(rep.el_max, rel=1e-12)
             maxima.append(rep.el_max)
         assert maxima[0] > maxima[1] > maxima[2]
+
+    @pytest.mark.parametrize("alpha,beta,n", [(0.05, 0.5, 64), (0.5, 0.75, 512),
+                                              (0.9, 0.95, 1024)])
+    def test_residual_maxima_are_the_equivalence_report(self, alpha, beta, n):
+        # solve() reports the residual maxima of the same evaluation that
+        # equivalence_gap runs, so the numbers agree exactly
+        rep = solve(problem(n, alpha, beta))
+        eq = equivalence_gap(example_lagrangian(alpha, beta), rep.q_numeric)
+        assert rep.el_max == eq.el_max
+        assert rep.hamilton_max == eq.hamilton_max
 
 
 class TestConvergenceStudy:

@@ -8,6 +8,10 @@ separated, comments prefixed with '#'):
     check-equivalence  compare the stationarity and canonical residual routes
     converge           refinement study across a list of grid sizes
 
+The --fn grammar of deriv is a signed sum of terms, each a product of
+numbers and at most one of t, pow(t,c), sin(t), cos(t) and exp(t);
+whitespace is allowed between tokens.
+
 Exit codes: 0 success / thresholds met, 1 threshold failure, 2 usage or
 parameter error (including a grid too large for memory or an --out path
 that cannot be written), 3 numeric domain error.
@@ -59,125 +63,58 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# function grammar: literals, t, pow(t,c), sin(t), cos(t), exp(t),
-# sums and scalar multiples
+# function grammar (see the module docstring)
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_]\w*)"
-    r"|(?P<sym>[+\-*(),]))"
+_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# one operator (a run of signs that starts a term, or a '*' that extends it)
+# and one factor. Whitespace is matched only before the first token and after
+# each token, so matching takes time linear in the length of the input
+_FACTOR = re.compile(
+    rf"\s*(?P<op>\*\s*|(?:[+-]\s*)*)(?:(?P<num>{_NUM})|(?P<t>t(?!\w))"
+    rf"|(?P<fn>sin|cos|exp)\s*\(\s*t\s*\)"
+    rf"|pow\s*\(\s*t\s*,\s*(?P<signs>(?:[+-]\s*)*)(?P<c>{_NUM})\s*\))\s*"
 )
-
-_UNARY = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise CliError(EXIT_USAGE, f"cannot parse function at ...{text[pos:]!r}")
-        pos = m.end()
-        for kind in ("num", "name", "sym"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val))
-                break
-    tokens.append(("end", ""))
-    return tokens
+_FORMS = "numbers, t, pow(t,c), sin(t), cos(t) and exp(t), joined by +, - and *"
 
 
-class _FnParser:
-    """Recursive descent over the tiny grammar; returns a vectorized callable."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None, value=None):
-        k, v = self.tokens[self.pos]
-        if (kind is not None and k != kind) or (value is not None and v != value):
-            raise CliError(EXIT_USAGE, f"unexpected token {v!r} in function expression")
-        self.pos += 1
-        return v
-
-    def parse(self) -> Callable[[np.ndarray], np.ndarray]:
-        terms = [self.term(self.sign())]
-        while self.peek()[1] in ("+", "-"):
-            terms.append(self.term(self.sign()))
-        self.take("end")
-
-        def evaluate(t: np.ndarray) -> np.ndarray:
-            t = np.asarray(t, dtype=float)
-            out = np.zeros_like(t)
-            for coef, basis in terms:
-                out = out + coef * basis(t)
-            return out
-
-        return evaluate
-
-    def sign(self) -> float:
-        s = 1.0
-        while self.peek()[1] in ("+", "-"):
-            if self.take("sym") == "-":
-                s = -s
-        return s
-
-    def term(self, sign: float):
-        coef = sign
-        basis = None
-        while True:
-            k, v = self.peek()
-            if k == "num":
-                coef *= float(self.take("num"))
-            elif k == "name":
-                if basis is not None:
-                    raise CliError(
-                        EXIT_USAGE, "products of two non-constant factors are not supported"
-                    )
-                basis = self.atom()
-            else:
-                raise CliError(EXIT_USAGE, f"expected a factor, found {v!r}")
-            if self.peek()[1] == "*":
-                self.take("sym", "*")
-                continue
-            break
-        if basis is None:
-            c = coef
-            return c, lambda t: np.ones_like(t)
-        return coef, basis
-
-    def atom(self):
-        name = self.take("name")
-        if name == "t":
-            return lambda t: t
-        if name in _UNARY:
-            fn = _UNARY[name]
-            self.take("sym", "(")
-            self.take("name", "t")
-            self.take("sym", ")")
-            return lambda t: fn(t)
-        if name == "pow":
-            self.take("sym", "(")
-            self.take("name", "t")
-            self.take("sym", ",")
-            s = 1.0
-            while self.peek()[1] in ("+", "-"):
-                if self.take("sym") == "-":
-                    s = -s
-            c = s * float(self.take("num"))
-            self.take("sym", ")")
-            return lambda t: t**c
-        raise CliError(EXIT_USAGE, f"unknown function {name!r} (use t, pow, sin, cos, exp)")
+def _sign(run: str) -> float:
+    return -1.0 if run.count("-") % 2 else 1.0
 
 
 def parse_function(text: str) -> Callable[[np.ndarray], np.ndarray]:
-    return _FnParser(text).parse()
+    terms = []  # [coefficient, basis], basis None for a constant term
+    pos = 0
+    while pos < len(text) or not terms:
+        m = _FACTOR.match(text, pos)
+        op = m["op"] if m else ""
+        # a '*' needs a term to extend; every term after the first needs a sign
+        if m is None or (not op if terms else op.startswith("*")):
+            raise CliError(EXIT_USAGE, f"cannot parse function at ...{text[pos:]!r} (use {_FORMS})")
+        pos = m.end()
+        if not op.startswith("*"):
+            terms.append([_sign(op), None])
+        term = terms[-1]
+        if m["num"]:
+            term[0] *= float(m["num"])
+            continue
+        if term[1] is not None:
+            raise CliError(EXIT_USAGE, "products of two non-constant factors are not supported")
+        if m["t"]:
+            term[1] = lambda t: t
+        elif m["fn"]:
+            term[1] = getattr(np, m["fn"])
+        else:
+            term[1] = lambda t, c=_sign(m["signs"]) * float(m["c"]): t**c
+
+    def evaluate(t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        out = np.zeros_like(t)
+        for coef, basis in terms:
+            out = out + coef * (np.ones_like(t) if basis is None else basis(t))
+        return out
+
+    return evaluate
 
 
 def _parse_interval(text: str) -> tuple[float, float]:

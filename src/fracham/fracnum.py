@@ -282,7 +282,12 @@ def _build(kind: OperatorKind, order: FractionalOrder, grid: Grid) -> FracOperat
     # b_j = (j+1)^(1-nu) - j^(1-nu), the L1 convolution coefficients
     scale = h ** (-nu) / gamma(2.0 - nu)
     j = np.arange(n, dtype=np.float64)
-    b = (j + 1.0) ** (1.0 - nu) - j ** (1.0 - nu)
+    if nu < 0.8:
+        b = (j + 1.0) ** (1.0 - nu) - j ** (1.0 - nu)
+    else:
+        # the direct difference cancels as nu -> 1; this form does not
+        b = np.ones(n)
+        b[1:] = j[1:] ** (1.0 - nu) * np.expm1((1.0 - nu) * np.log1p(1.0 / j[1:]))
     correction = None
     unusable: tuple[int, ...] = ()
     if kind not in (OperatorKind.CAPUTO_LEFT, OperatorKind.CAPUTO_RIGHT):

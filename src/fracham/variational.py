@@ -14,8 +14,9 @@ equations of motion. Both residual routes share the same discrete
 operator matrices, so their algebraic equivalence holds on the grid to
 rounding, independent of discretization error.
 
-Each query evaluates its trajectory once: both Caputo velocities are
-applied a single time and each density callback runs at most once.
+Each query evaluates its trajectory once: both Caputo velocities and
+``eval_L`` run a single time, and so do the partials, except that the
+canonical route (``hamilton_residuals``) runs them a second time.
 """
 
 from __future__ import annotations
@@ -165,9 +166,10 @@ def _field(values, n: int) -> np.ndarray:
 class _Evaluation:
     """One evaluation of a trajectory on its grid.
 
-    Both Caputo velocities are applied on construction. Each density
-    callback runs at most once, on first use, so a query calls only the
-    callbacks its outputs need.
+    Both Caputo velocities are applied on construction. ``eval_L`` and
+    each partial run at most once, on first use, so a query calls only
+    the callbacks its outputs need; ``hamilton_residuals`` runs the
+    partials again for the canonical route.
     """
 
     def __init__(self, spec: LagrangianSpec, q: SampledFn):
@@ -189,9 +191,13 @@ class _Evaluation:
     def p_beta(self) -> SampledFn:
         return SampledFn(self.q.grid, self._call(self.spec.dL_ddR))
 
+    @cached_property
+    def lagrangian(self) -> np.ndarray:
+        return self._call(self.spec.eval_L)
+
     def action(self) -> float:
         t = self.q.grid.nodes
-        lv = self._call(self.spec.eval_L)
+        lv = self.lagrangian
         if not np.isfinite(lv).all():
             i = int(np.flatnonzero(~np.isfinite(lv))[0])
             raise ValueError(f"Lagrangian is not finite at node {i} (t = {t[i]:g})")
@@ -207,8 +213,7 @@ class _Evaluation:
 
     def bundle(self) -> TrajectoryBundle:
         p_a, p_b = self.p_alpha, self.p_beta
-        lv = self._call(self.spec.eval_L)
-        h = p_a.values * self.dl.values + p_b.values * self.dr.values - lv
+        h = p_a.values * self.dl.values + p_b.values * self.dr.values - self.lagrangian
         return TrajectoryBundle(self.q, self.dl, self.dr, p_a, p_b, SampledFn(self.q.grid, h))
 
     def equivalence(self) -> EquivalenceReport:

@@ -1,4 +1,5 @@
 import io
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -51,19 +52,54 @@ class TestFunctionGrammar:
             ("-t + 0.5", 0.25, 0.25),
             ("3*pow(t,2) - 2*t + 4", 2.0, 12.0),
             ("t*2", 0.5, 1.0),
+            ("t ", 0.3, 0.3),
+            ("2*t\n", 0.5, 1.0),
+            (" t", 0.3, 0.3),
+            ("- -t", 0.3, 0.3),
+            ("+t", 0.3, 0.3),
+            ("sin ( t )", 0.5, np.sin(0.5)),
+            ("pow ( t , - 2 )", 0.5, 4.0),
+            ("pow(t,2e-5)", 0.5, 0.5**2e-5),
+            ("1.e1*t", 0.5, 5.0),
+            ("2*3*t", 0.5, 3.0),
         ],
     )
     def test_evaluates(self, expr, at, expected):
         fn = parse_function(expr)
         assert fn(np.array([at]))[0] == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("expr", ["pow(t,", "t*t", "tan(t)", "2**t", "pow(x,2)", ""])
+    @pytest.mark.parametrize("expr", [
+        "pow(t,", "t*t", "tan(t)", "2**t", "pow(x,2)", "",
+        "2t", "t2", "t_", "sint", "(t)", "-(t)", "*t", "t+", "pow(t,t)", "sin(2*t)", "1e",
+    ])
     def test_rejects_out_of_grammar(self, expr):
         from fracham.cli import CliError
 
         with pytest.raises(CliError) as exc:
             parse_function(expr)
         assert exc.value.code == EXIT_USAGE
+
+    def test_rejection_quotes_the_rest_and_lists_the_forms(self):
+        code, out, err = run_cli(
+            "deriv", "--kind", "caputo-left", "--alpha", "0.5", "--fn", "2*t + tan(t)",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "at ...'+ tan(t)'" in err
+        assert all(form in err for form in ("pow(t,c)", "sin(t)", "cos(t)", "exp(t)"))
+
+    @pytest.mark.parametrize("expr", [
+        " " * 10**5 + "x",
+        "t" + "+ " * 50000 + "x",
+        "pow(t," + " -" * 50000 + "x",
+    ], ids=["spaces", "signs", "exponent-signs"])
+    def test_rejects_long_input_in_linear_time(self, expr):
+        from fracham.cli import CliError
+
+        start = time.perf_counter()
+        with pytest.raises(CliError):
+            parse_function(expr)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDeriv:

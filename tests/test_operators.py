@@ -263,19 +263,12 @@ class TestCaputo:
             exact = g.nodes ** (1.0 - alpha) / gamma(2.0 - alpha)
             assert np.max(np.abs((out.values - exact)[1:1024])) < 1e-12
 
-    @pytest.mark.parametrize("alpha", [
-        0.02,
-        0.5,
-        pytest.param(1 - 1e-6, marks=pytest.mark.xfail(
-            strict=True, reason="cancellation in the direct form, ROADMAP item 4")),
-        pytest.param(1 - 1e-9, marks=pytest.mark.xfail(
-            strict=True, reason="cancellation in the direct form, ROADMAP item 4")),
-    ])
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.9, 0.98, 1 - 1e-6, 1 - 1e-9])
     def test_l1_kernel_against_mpmath_at_large_lags(self, alpha):
         # the generator is scale * ((j+1)^(1-alpha) - j^(1-alpha)); the ratio
         # to kernel[0] cancels the scale. The direct difference of powers
-        # loses about eps (j+1) / (1-alpha) relative, so near alpha = 1 it
-        # exceeds the bound of 4 eps (j+1)
+        # loses about eps (j+1) / (1-alpha) relative, so from alpha = 0.8 on
+        # the kernel is formed as j^(1-alpha) expm1((1-alpha) log1p(1/j))
         n = 10**6
         fracnum._build.cache_clear()
         try:

@@ -450,3 +450,21 @@ class TestOneEvaluationPerQuery:
 
         solve(ExampleProblem(0.5, 0.75, Grid(0.0, 1.0, 64)))
         assert len(applies) == 6
+
+    def test_solve_runs_the_lagrangian_once(self, monkeypatch):
+        import dataclasses
+
+        import fracham.solver
+        from fracham import ExampleProblem, solve
+
+        calls = []
+        spec = example_lagrangian(0.5, 0.75)
+
+        def counting(*args):
+            calls.append(1)
+            return spec.eval_L(*args)
+
+        counted = dataclasses.replace(spec, eval_L=counting, validate=False)
+        monkeypatch.setattr(fracham.solver, "example_lagrangian", lambda alpha, beta: counted)
+        solve(ExampleProblem(0.5, 0.75, Grid(0.0, 1.0, 64)))
+        assert len(calls) == 1

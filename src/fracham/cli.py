@@ -90,7 +90,8 @@ def parse_function(text: str) -> Callable[[np.ndarray], np.ndarray]:
         op = m["op"] if m else ""
         # a '*' needs a term to extend; every term after the first needs a sign
         if m is None or (not op if terms else op.startswith("*")):
-            raise CliError(EXIT_USAGE, f"cannot parse function at ...{text[pos:]!r} (use {_FORMS})")
+            raise CliError(EXIT_USAGE, f"cannot parse function at ...{text[pos:pos + 40]!r}"
+                           f"{'...' * (len(text) > pos + 40)} (use {_FORMS})")
         pos = m.end()
         if not op.startswith("*"):
             terms.append([_sign(op), None])

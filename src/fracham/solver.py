@@ -6,11 +6,11 @@ The model problem on [0, 1] minimizes
     g(t) = Gamma(1 + beta) / Gamma(1 + beta - alpha) * t^(beta - alpha),
 
 subject to q(0) = 0 and q(1) = 1, whose minimizer is q(t) = t^beta.
-Discretizing J with the left-Caputo matrix D and trapezoid weights W
-gives a convex quadratic in the interior nodal values, so the solve is
-one symmetric positive-definite linear system (the normal equations
-D^T W D restricted to the interior). Minimality of the discrete solution
-against any trial is an independent correctness signal.
+Row 0 of the left-Caputo operator and g(0) vanish, so the discrete J is
+||S (T d - r)||^2 over the first differences d of q, sum(d) = q(1) - q(0),
+with T the Toeplitz matrix of the operator's kernel, S^2 the trapezoid
+weights and r = g, without node 0; it is minimized in closed form by
+convolutions. Minimality against any trial is an independent check.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "example_lagrangian",
     "target_velocity",
     "exact_solution",
-    "assemble",
     "solve",
     "convergence_study",
 ]
@@ -49,7 +48,7 @@ _COND_LIMIT = 1e14
 
 
 class SingularSystemError(RuntimeError):
-    """The restricted normal-equation matrix is numerically singular."""
+    """The restricted Ritz system is numerically singular."""
 
 
 class ConvergenceError(RuntimeError):
@@ -146,52 +145,62 @@ def example_lagrangian(alpha, beta: float) -> LagrangianSpec:
     )
 
 
-def assemble(problem: ExampleProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Normal equations restricted to the interior unknowns q_1 .. q_{n-1}.
+def _series_reciprocal(k: np.ndarray) -> np.ndarray:
+    """Column of T^-1 for the lower-triangular Toeplitz T of ``k``: the power
+    series 1 / k(x) to k.size terms, by Newton doubling c <- c (2 - k c)."""
+    c = np.array([1.0 / k[0]])
+    while c.size < k.size:
+        # k c = 1 + x^c.size r, so c (2 - k c) appends the terms of -c r
+        r = np.convolve(k[: 2 * c.size], c)[c.size : 2 * c.size]
+        c = np.concatenate((c, -np.convolve(c, r)[: min(c.size, k.size - c.size)]))
+    return c
 
-    With B = sqrt(W) D_interior the matrix is B^T B, symmetric positive
-    definite; the boundary columns of D are folded into the right-hand
-    side. D is taken from the cached left-Caputo Toeplitz matrix that
-    ``apply`` uses. Raises SingularSystemError when the spectral
-    condition estimate exceeds 1e14.
-    """
-    grid = problem.grid
-    t = build_operator(OperatorKind.CAPUTO_LEFT, problem.alpha, grid)._left_matrix
-    # row 0 of D and g(0) vanish, so only rows 1 .. n enter; there T acts on
-    # first differences, so nodal column k is T's column k - 1 minus its
-    # column k, column 0 is -T[:, 0] and column n is T[:, -1]
-    sqw = np.sqrt(trapezoid_weights(grid)[1:])
-    g = target_velocity(problem)[1:]
-    rhs_field = g - t[:, -1] * problem.q_right + t[:, 0] * problem.q_left
-    b = t[:, :-1] - t[:, 1:]
-    b *= sqw[:, None]
-    matrix = b.T @ b
-    rhs = b.T @ (sqw * rhs_field)
-    del b
-    ev = np.linalg.eigvalsh(matrix)
-    if ev[0] <= 0.0 or ev[-1] / ev[0] > _COND_LIMIT:
-        cond = np.inf if ev[0] <= 0.0 else ev[-1] / ev[0]
-        raise SingularSystemError(
-            f"restricted system at n = {grid.n} is numerically singular "
-            f"(condition estimate {cond:.3g})"
-        )
-    return matrix, rhs
+
+def _rayleigh(op, x: np.ndarray) -> float:
+    """Rayleigh quotient of SPD ``op`` after 8 power steps from x; inside the spectrum."""
+    for _ in range(8):
+        x = op(x)
+        x /= np.linalg.norm(x)
+    return float(x @ op(x))
 
 
 def solve(problem: ExampleProblem) -> SolveReport:
     """Solve the discrete problem and report errors and residuals.
 
-    Errors are measured against the sampled t^beta minimizer; el_max and
-    hamilton_max are the stationarity and canonical trajectory-equation
-    defects of the numeric solution over the interior nodes, taken from
-    the report ``equivalence_gap`` gives for it.
+    d = d0 + v (q(1) - q(0) - sum d0) / sum v, with d0 = T^-1 r and
+    v = T^-1 S^-2 T^-T 1 (Golub & Van Loan, Matrix Computations, 6.2).
+    SingularSystemError means a condition estimate above 1e14. Errors are
+    against the sampled t^beta minimizer; el_max and hamilton_max are the
+    interior residual maxima of the report ``equivalence_gap`` gives for q.
     """
-    grid = problem.grid
-    matrix, rhs = assemble(problem)
-    x = np.linalg.solve(matrix, rhs)
-    if not np.isfinite(x).all():
-        raise SingularSystemError(f"solver produced non-finite values at n = {grid.n}")
-    qv = np.concatenate(([problem.q_left], x, [problem.q_right]))
+    grid, n = problem.grid, problem.grid.n
+    k = build_operator(OperatorKind.CAPUTO_LEFT, problem.alpha, grid).kernel
+    kinv = _series_reciprocal(k)
+    s2 = trapezoid_weights(grid)[1:]
+
+    def normal_inverse(y):  # (T^T S^2 T)^-1 y; T^T is T conjugated by index reversal
+        return np.convolve(kinv, np.convolve(kinv, y[::-1])[:n][::-1] / s2)[:n]
+
+    v = normal_inverse(np.ones(n))
+    d0 = np.convolve(kinv, target_velocity(problem)[1:])[:n]
+    d = d0 + v * ((problem.q_right - problem.q_left - d0.sum()) / v.sum())
+
+    # the gate estimates cond(M) of the interior system M = P^T T^T S^2 T P,
+    # where P x is the first differences of [0, x, 0]
+    def m(x):
+        y = s2 * np.convolve(k, np.diff(x, prepend=0.0, append=0.0))[:n]
+        return -np.diff(np.convolve(k, y[::-1])[:n][::-1])
+
+    def m_inverse(b):  # solve P^T z = b, then (T^T S^2 T) d = z with sum(d) = 0
+        u = normal_inverse(np.concatenate(([0.0], -np.cumsum(b))))
+        return np.cumsum(u - v * (u.sum() / v.sum()))[:-1]
+
+    cond = _rayleigh(m, (-1.0) ** np.arange(n - 1)) * _rayleigh(m_inverse, np.ones(n - 1))
+    if not (0.0 < cond <= _COND_LIMIT and np.isfinite(d).all()):  # NaN fails too
+        raise SingularSystemError(f"restricted system at n = {n} is numerically singular "
+                                  f"(condition estimate {cond:.3g})")
+    qv = np.concatenate(([problem.q_left], problem.q_left + np.cumsum(d)))
+    qv[-1] = problem.q_right
     q = SampledFn(grid, qv)
     qe = exact_solution(problem)
 

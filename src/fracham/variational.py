@@ -110,7 +110,7 @@ class LagrangianSpec:
                 hi_pt[k] += step
                 lo_pt[k] -= step
                 fd = (float(self.eval_L(*hi_pt)) - float(self.eval_L(*lo_pt))) / (2.0 * step)
-                if abs(stated - fd) > _PROBE_TOL * max(1.0, abs(stated), abs(fd)):
+                if not (abs(stated - fd) <= _PROBE_TOL * max(1.0, abs(stated), abs(fd))):
                     raise ValueError(
                         f"{name} disagrees with finite differences of eval_L at "
                         f"(t={t:.4g}, q={q:.4g}, dl={dl:.4g}, dr={dr:.4g}): "

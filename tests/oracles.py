@@ -8,7 +8,9 @@ recurrence seeded at Gamma(1) = 1 and Gamma(0.5) = sqrt(pi), convolution
 coefficients are evaluated in mpmath's extended precision, and the dense
 weight matrices are filled entry by entry with plain loops. The dense
 nodal matrix of an operator is formed here from its stored generator, as
-the reference for the package's Toeplitz evaluation and Ritz system.
+the reference for the package's Toeplitz evaluation, and from it the
+dense normal equations of the model problem, as the reference for the
+Ritz solve.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
+
+from fracham import OperatorKind, build_operator, target_velocity, trapezoid_weights
 
 
 def frac_integral_quadrature(f, x: float, a: float, mu: float) -> float:
@@ -170,3 +174,23 @@ def nodal_matrix(op) -> np.ndarray:
     if op.correction is not None:
         w[:, 0] += op.correction
     return w if op.kind.is_left else w[::-1, ::-1].copy()
+
+
+def weighted_interior_system(problem):
+    """(B, f) with B = sqrt(W) D[:, 1:-1] and f = sqrt(W) (g - boundary columns).
+
+    D is the dense nodal left-Caputo matrix and W the trapezoid weights;
+    the Ritz minimizer's interior values are the least-squares solution
+    of B x = f.
+    """
+    d = nodal_matrix(build_operator(OperatorKind.CAPUTO_LEFT, problem.alpha, problem.grid))
+    sqw = np.sqrt(trapezoid_weights(problem.grid))
+    field = target_velocity(problem) - d[:, -1] * problem.q_right - d[:, 0] * problem.q_left
+    return sqw[:, None] * d[:, 1:-1], sqw * field
+
+
+def normal_equations(problem):
+    """The model problem's normal equations B^T B x = B^T f over the
+    interior unknowns q_1 .. q_{n-1}; returns (B^T B, B^T f)."""
+    b, f = weighted_interior_system(problem)
+    return b.T @ b, b.T @ f

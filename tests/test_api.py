@@ -5,7 +5,7 @@ PUBLIC_NAMES = {
     "ConvergenceError", "ConvergenceRow", "DomainError", "ELReport", "EquivalenceReport",
     "ExampleProblem", "FracOperator", "FractionalOrder", "Grid", "GridMismatchError",
     "LagrangianSpec", "OperatorKind", "SampledFn", "SingularSystemError", "SolveReport",
-    "TrajectoryBundle", "__version__", "active_backend", "apply", "as_order", "assemble",
+    "TrajectoryBundle", "__version__", "active_backend", "apply", "as_order",
     "build_operator", "caputo_power_rule", "convergence_study", "el_residual",
     "energy_defect", "equivalence_gap", "evaluate_functional", "exact_solution",
     "example_lagrangian", "gamma", "hamilton_residuals", "hamiltonian", "momenta",

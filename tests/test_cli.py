@@ -88,6 +88,14 @@ class TestFunctionGrammar:
         assert "at ...'+ tan(t)'" in err
         assert all(form in err for form in ("pow(t,c)", "sin(t)", "cos(t)", "exp(t)"))
 
+    def test_rejection_quotes_at_most_a_short_cut(self):
+        from fracham.cli import CliError
+
+        with pytest.raises(CliError) as exc:
+            parse_function(" " * 10**5 + "x")
+        assert len(str(exc.value)) < 200
+        assert "'... (use " in str(exc.value)
+
     @pytest.mark.parametrize("expr", [
         " " * 10**5 + "x",
         "t" + "+ " * 50000 + "x",

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +14,6 @@ from fracham import (
     OperatorKind,
     SampledFn,
     SingularSystemError,
-    assemble,
-    build_operator,
     convergence_study,
     equivalence_gap,
     evaluate_functional,
@@ -20,9 +21,8 @@ from fracham import (
     example_lagrangian,
     solve,
     target_velocity,
-    trapezoid_weights,
 )
-from oracles import nodal_matrix
+from oracles import normal_equations, weighted_interior_system
 
 HALF_TO_THREE_QUARTERS = 0.5946035575013605  # 0.5 ** 0.75
 
@@ -55,35 +55,76 @@ class TestExampleProblem:
         assert g[-1] == pytest.approx(1.013967360100927, rel=1e-12)  # G(1.75)/G(1.25)
 
 
-class TestAssemble:
+class TestRitzSystem:
+    """The solve against the dense normal equations of tests/oracles.py."""
+
     def test_small_system_shape_and_symmetry(self):
-        matrix, rhs = assemble(problem(4))
+        matrix, rhs = normal_equations(problem(4))
         assert matrix.shape == (3, 3)
         assert rhs.shape == (3,)
         assert np.max(np.abs(matrix - matrix.T)) <= 1e-14 * max(1.0, np.max(np.abs(matrix)))
 
     def test_positive_definite(self):
-        matrix, _ = assemble(problem(64))
+        matrix, _ = normal_equations(problem(64))
         ev = np.linalg.eigvalsh(matrix)
         assert ev[0] > 0.0
 
     @pytest.mark.parametrize("n", [4, 64, 1024])
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
-    def test_matches_nodal_normal_equations(self, alpha, n):
-        # the same system formed from the dense nodal matrix D: B = sqrt(W) D
-        # over the interior columns, boundary columns folded into the rhs
+    def test_solution_satisfies_nodal_normal_equations(self, alpha, n):
+        # the solve never forms the system, but its interior values solve
+        # the one formed from the dense nodal matrix D
         p = problem(n, alpha=alpha, beta=(1.0 + alpha) / 2.0)
-        d = nodal_matrix(build_operator(OperatorKind.CAPUTO_LEFT, alpha, p.grid))
-        sqw = np.sqrt(trapezoid_weights(p.grid))
-        field = target_velocity(p) - d[:, -1] * p.q_right - d[:, 0] * p.q_left
-        b = sqw[:, None] * d[:, 1:-1]
-        matrix, rhs = assemble(p)
-        for got, ref in ((matrix, b.T @ b), (rhs, b.T @ (sqw * field))):
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        matrix, rhs = normal_equations(p)
+        x = solve(p).q_numeric.values[1:-1]
+        residual = np.max(np.abs(matrix @ x - rhs))
+        assert residual <= 1e-13 * np.max(np.abs(matrix)) * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    def test_matches_least_squares(self, alpha, n):
+        p = problem(n, alpha=alpha, beta=(1.0 + alpha) / 2.0)
+        b, f = weighted_interior_system(p)
+        ref = np.linalg.lstsq(b, f, rcond=None)[0]
+        assert np.max(np.abs(solve(p).q_numeric.values[1:-1] - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 64, 512, 2048])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95, 0.999])
+    def test_condition_estimate_matches_eigvalsh(self, alpha, n, monkeypatch):
+        # with a limit of 1 every system fails the gate, and its message
+        # carries the estimate
+        p = problem(n, alpha=alpha, beta=(1.0 + alpha) / 2.0)
+        ev = np.linalg.eigvalsh(normal_equations(p)[0])
+        monkeypatch.setattr(fracham.solver, "_COND_LIMIT", 1.0)
+        with pytest.raises(SingularSystemError) as exc:
+            solve(p)
+        estimate = float(re.search(r"condition estimate ([^)]+)\)", str(exc.value))[1])
+        assert estimate == pytest.approx(ev[-1] / ev[0], rel=0.02)
+
+    def test_nan_condition_estimate_fails_the_gate(self, monkeypatch):
+        monkeypatch.setattr(fracham.solver, "_rayleigh", lambda op, x: np.nan)
+        with pytest.raises(SingularSystemError, match="estimate nan"):
+            solve(problem(64))
+
+    def test_solve_allocates_one_dense_matrix(self):
+        # at n = 2048 the one dense T that the residual evaluation builds is
+        # 8 n^2 bytes; the Ritz solve itself allocates O(n)
+        n = 2048
+        p = problem(n)
+        fracnum._build.cache_clear()
+        tracemalloc.start()
+        try:
+            solve(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            fracnum._build.cache_clear()
+        assert peak < 1.5 * 8 * n**2
 
     def test_solve_builds_one_dense_matrix(self, monkeypatch):
-        # the Ritz system and the residual evaluation share the cached
-        # left-Caputo Toeplitz matrix
+        # only the residual evaluation's applies build a dense matrix, the
+        # cached left-Caputo Toeplitz T they share; the Ritz solve uses the
+        # operator's kernel alone
         calls = []
         build = fracnum._lower_toeplitz
 

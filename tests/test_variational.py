@@ -86,6 +86,31 @@ class TestProbeGate:
                 beta=0.5,
             )
 
+    def test_nan_partial_is_caught(self):
+        # NaN compares False against any bound, so the gate must not read it as agreement
+        with pytest.raises(ValueError, match="dL_dq"):
+            LagrangianSpec(
+                eval_L=lambda t, q, dl, dr: 0.5 * dl**2,
+                dL_dq=lambda t, q, dl, dr: np.nan,
+                dL_ddL=lambda t, q, dl, dr: dl,
+                dL_ddR=_zeros,
+                alpha=0.5,
+                beta=0.5,
+            )
+
+    def test_density_undefined_on_the_probe_interval_is_caught(self):
+        # sqrt(t - 1) is NaN on (0, 1), so the finite differences are NaN and
+        # no stated partial, right or wrong, can agree with them
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="dL_dq"):
+            LagrangianSpec(
+                eval_L=lambda t, q, dl, dr: np.sqrt(t - 1.0) * dl**2,
+                dL_dq=_zeros,
+                dL_ddL=lambda t, q, dl, dr: dl,
+                dL_ddR=_zeros,
+                alpha=0.5,
+                beta=0.5,
+            )
+
     def test_gate_can_be_skipped(self):
         spec = LagrangianSpec(
             eval_L=lambda t, q, dl, dr: 0.5 * dl**2,

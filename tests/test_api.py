@@ -7,7 +7,7 @@ PUBLIC_NAMES = {
     "LagrangianSpec", "OperatorKind", "SampledFn", "SingularSystemError", "SolveReport",
     "TrajectoryBundle", "__version__", "active_backend", "apply", "as_order",
     "build_operator", "caputo_power_rule", "convergence_study", "el_residual",
-    "energy_defect", "equivalence_gap", "evaluate_functional", "exact_solution",
+    "equivalence_gap", "evaluate_functional", "exact_solution",
     "example_lagrangian", "gamma", "hamilton_residuals", "hamiltonian", "momenta",
     "quad_trapezoid", "solve", "target_velocity", "transversality_terms",
     "trapezoid_weights",

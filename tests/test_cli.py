@@ -287,6 +287,14 @@ class TestConverge:
                              "--n-list", "64,banana")
         assert code == EXIT_USAGE
 
+    def test_exact_minimizer_at_beta_one(self):
+        # l2_err is rounding noise below 1e-12 and may rise; that is not a failure
+        code, out, err = run_cli("converge", "--alpha", "0.5", "--beta", "1",
+                                 "--n-list", "256,512,1024")
+        assert (code, err) == (EXIT_OK, "")
+        _, rows = csv_rows(out)
+        assert [r[0] for r in rows] == ["256", "512", "1024"]
+
 
 class TestNumericFailures:
     """A singular system is a numeric domain error: exit 3, not a usage error."""

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from fracham import (
 from oracles import normal_equations, weighted_interior_system
 
 HALF_TO_THREE_QUARTERS = 0.5946035575013605  # 0.5 ** 0.75
+RATE_MARGIN = 0.05  # below the measured last-doubling orders of l2_err
 
 
 def problem(n, alpha=0.5, beta=0.75):
@@ -221,14 +223,47 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(0.5, 0.75, bad)
 
-    def test_monotonicity_violation_carries_rows(self):
-        # solver errors are monotone here, so the check does not trip;
-        # verify a healthy run returns its rows
-        rows = convergence_study(0.5, 0.75, [64, 128])
-        assert len(rows) == 2
-        # and that the exception type exposes .rows
-        err = ConvergenceError("msg", rows)
-        assert err.rows is rows
+    @staticmethod
+    def _rising_solve(monkeypatch, l2_errs):
+        # a stand-in solve whose l2_err at the i-th size is l2_errs[i]
+        errs = iter(l2_errs)
+
+        def fake_solve(problem):
+            e = next(errs)
+            return SimpleNamespace(max_err=e, l2_err=e, el_max=0.0, hamilton_max=0.0)
+
+        monkeypatch.setattr(fracham.solver, "solve", fake_solve)
+
+    # a rise is a violation once it ends above the 1e-12 rounding floor
+    @pytest.mark.parametrize("l2_errs,message", [
+        ([1e-4, 2e-4, 1e-5], "from 0.0001 (n = 64) to 0.0002 (n = 128)"),
+        ([1e-13, 1e-14, 2e-12], "from 1e-14 (n = 128) to 2e-12 (n = 256)"),
+    ])
+    def test_monotonicity_violation_carries_rows(self, monkeypatch, l2_errs, message):
+        self._rising_solve(monkeypatch, l2_errs)
+        with pytest.raises(ConvergenceError, match=re.escape(message)) as exc:
+            convergence_study(0.5, 0.75, [64, 128, 256])
+        assert [r.n for r in exc.value.rows] == [64, 128, 256]
+        assert [r.l2_err for r in exc.value.rows] == l2_errs
+
+    def test_rise_below_the_floor_is_rounding_noise(self, monkeypatch):
+        self._rising_solve(monkeypatch, [3.4e-18, 1.8e-19, 3.0e-17, 9e-13])
+        rows = convergence_study(0.5, 0.75, [64, 128, 256, 512])
+        assert [r.l2_err for r in rows] == [3.4e-18, 1.8e-19, 3.0e-17, 9e-13]
+
+    # last-doubling order of l2_err for n = 2048 -> 4096, measured over the
+    # ladder 256 .. 4096; beta = alpha + 0.01 is out of range at alpha = 0.999
+    @pytest.mark.parametrize("alpha,beta,order", [
+        (0.02, 0.03, 0.53), (0.02, 0.51, 1.01), (0.5, 0.51, 0.94), (0.5, 0.75, 1.17),
+        (0.98, 0.99, 0.89), (0.999, 0.9995, 0.87),
+    ])
+    def test_rate_over_the_order_range(self, alpha, beta, order):
+        try:
+            rows = convergence_study(alpha, beta, [256, 512, 1024, 2048, 4096])
+        finally:
+            fracnum._build.cache_clear()  # the n = 4096 operators hold 134 MB each
+        measured = np.log2(rows[-2].l2_err / rows[-1].l2_err)
+        assert measured >= order - RATE_MARGIN
 
     def test_singular_system_keeps_its_type(self, monkeypatch):
         # every system fails a conditioning limit of 1

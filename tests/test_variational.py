@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from fracham import (
     SampledFn,
     TrajectoryBundle,
     el_residual,
-    energy_defect,
     equivalence_gap,
     evaluate_functional,
     example_lagrangian,
@@ -106,6 +108,34 @@ class TestProbeGate:
                 eval_L=lambda t, q, dl, dr: np.sqrt(t - 1.0) * dl**2,
                 dL_dq=_zeros,
                 dL_ddL=lambda t, q, dl, dr: dl,
+                dL_ddR=_zeros,
+                alpha=0.5,
+                beta=0.5,
+            )
+
+    def test_first_failure_is_reported_in_probe_order(self):
+        # dL_dq is wrong only at the fourth probe (t < 0.1), dL_ddL only at the
+        # second (q < -1.5); the earlier probe is reported, at its exact coordinates
+        msg = ("dL_ddL disagrees with finite differences of eval_L at (t=0.1316, q=-1.991, "
+               "dl=1.815, dr=1.458): callback 0, finite-difference -1.9908093")
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            LagrangianSpec(
+                eval_L=lambda t, q, dl, dr: q * dl + dr**2,
+                dL_dq=lambda t, q, dl, dr: np.where(t < 0.1, 0.0, dl),
+                dL_ddL=lambda t, q, dl, dr: np.where(q < -1.5, 0.0, q),
+                dL_ddR=lambda t, q, dl, dr: 2.0 * dr,
+                alpha=0.5,
+                beta=0.5,
+            )
+
+    def test_scalar_only_density_is_caught(self):
+        # evaluation passes arrays, so math.sin(t) would fail at the first
+        # query; the gate passes arrays too and fails it on construction
+        with pytest.raises(TypeError):
+            LagrangianSpec(
+                eval_L=lambda t, q, dl, dr: math.sin(t) * dl**2,
+                dL_dq=_zeros,
+                dL_ddL=lambda t, q, dl, dr: 2.0 * math.sin(t) * dl,
                 dL_ddR=_zeros,
                 alpha=0.5,
                 beta=0.5,
@@ -319,13 +349,6 @@ class TestHamiltonian:
         g = Grid(0.0, 1.0, 16)
         bundle = hamiltonian(spec, SampledFn(g, np.cos(g.nodes)))
         assert np.array_equal(bundle.H.values, np.zeros(17))
-
-    def test_energy_reconstruction_is_exact(self):
-        g = Grid(0.0, 1.0, 64)
-        spec = example_lagrangian(0.4, 0.9)
-        rng = np.random.default_rng(9)
-        bundle = hamiltonian(spec, SampledFn(g, rng.standard_normal(65)))
-        assert energy_defect(spec, bundle) == 0.0
 
     def test_explicit_time_dependence_carries_over_with_sign_flip(self):
         # finite-difference dH/dt along frozen fields equals -dL/dt

@@ -105,6 +105,12 @@ def gamma(x: float) -> float:
 # domain types
 # ---------------------------------------------------------------------------
 
+def _subintervals(n) -> int:
+    if int(n) != n:
+        raise ValueError(f"need an integer number of subintervals, got n = {n}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform partition of [a, b] into n subintervals (n + 1 nodes)."""
@@ -116,7 +122,7 @@ class Grid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _subintervals(self.n))
         if not all(map(math.isfinite, (self.a, self.b, self.b - self.a))):
             raise ValueError(f"need a finite interval, got [{self.a:g}, {self.b:g}]")
         if not (self.b > self.a):

@@ -24,6 +24,7 @@ from .fracnum import (
     Grid,
     OperatorKind,
     SampledFn,
+    _subintervals,
     as_order,
     build_operator,
     gamma,
@@ -224,7 +225,7 @@ def convergence_study(alpha, beta: float, n_list) -> list[ConvergenceRow]:
     noise). A failing solve raises its own error type unchanged; a
     SingularSystemError names the grid size in its message.
     """
-    ns = [int(n) for n in n_list]
+    ns = [_subintervals(n) for n in n_list]
     if not ns:
         raise ValueError("n_list is empty")
     if any(n < 8 for n in ns):

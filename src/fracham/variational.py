@@ -14,9 +14,9 @@ equations of motion. Both residual routes share the same discrete
 operator matrices, so their algebraic equivalence holds on the grid to
 rounding, independent of discretization error.
 
-Each query evaluates its trajectory once: both Caputo velocities and
-``eval_L`` run a single time, and so do the partials, except that the
-canonical route (``hamilton_residuals``) runs them a second time.
+Each query evaluates its trajectory once: the Caputo velocities, each
+callback, and the dL/dq and Riemann-Liouville terms that both residual
+routes add are computed at most once.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class LagrangianSpec:
             stated[:, k] = getattr(self, name)(*pts.T)
             fd[:, k] = (self.eval_L(*hi_pts.T) - self.eval_L(*lo_pts.T)) / (2.0 * step)
         scale = np.maximum(1.0, np.maximum(np.abs(stated), np.abs(fd)))
-        ok = np.abs(stated - fd) <= _PROBE_TOL * scale  # NaN compares False, so it fails
+        ok = (np.abs(stated - fd) <= _PROBE_TOL * scale) & np.isfinite(scale)  # NaN or inf fails
         if not ok.all():
             i, k = np.argwhere(~ok)[0]  # probe-major: the first probe, then the first partial
             t, q, dl, dr = pts[i]
@@ -163,10 +163,9 @@ def _field(values, n: int) -> np.ndarray:
 class _Evaluation:
     """One evaluation of a trajectory on its grid.
 
-    Both Caputo velocities are applied on construction. ``eval_L`` and
-    each partial run at most once, on first use, so a query calls only
-    the callbacks its outputs need; ``hamilton_residuals`` runs the
-    partials again for the canonical route.
+    Both Caputo velocities are applied on construction. ``eval_L``, each
+    partial and the residual terms are computed at most once, on first
+    use, so a query runs only what its outputs need.
     """
 
     def __init__(self, spec: LagrangianSpec, q: SampledFn):
@@ -200,25 +199,31 @@ class _Evaluation:
             raise ValueError(f"Lagrangian is not finite at node {i} (t = {t[i]:g})")
         return float(np.sum(trapezoid_weights(self.q.grid) * lv))
 
-    def stationarity(self) -> ELReport:
-        g, spec = self.q.grid, self.spec
-        ru = apply(build_operator(OperatorKind.RL_RIGHT, spec.alpha, g), self.p_alpha)
-        rv = apply(build_operator(OperatorKind.RL_LEFT, spec.beta, g), self.p_beta)
-        res = self._call(spec.dL_dq) + ru.values + rv.values
-        max_abs, l2 = _weighted_norms(res, g)
-        return ELReport(SampledFn(g, res, allow_sentinels=True), max_abs, l2)
+    @cached_property
+    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _residual_terms(self.spec, self.args, self.p_alpha, self.p_beta)
 
-    def bundle(self) -> TrajectoryBundle:
-        p_a, p_b = self.p_alpha, self.p_beta
-        h = p_a.values * self.dl.values + p_b.values * self.dr.values - self.lagrangian
-        return TrajectoryBundle(self.q, self.dl, self.dr, p_a, p_b, SampledFn(self.q.grid, h))
+    def stationarity(self) -> ELReport:
+        dq, ru, rv = self.terms
+        res = dq + ru + rv
+        max_abs, l2 = _weighted_norms(res, self.q.grid)
+        return ELReport(SampledFn(self.q.grid, res, allow_sentinels=True), max_abs, l2)
 
     def equivalence(self) -> EquivalenceReport:
         el = self.stationarity()
-        _, _, r_q = hamilton_residuals(self.spec, self.bundle())
-        rq_max, rq_l2 = _weighted_norms(r_q.values, self.q.grid)
-        gap = float(np.max(np.abs(el.residual.values[1:-1] + r_q.values[1:-1])))
+        dq, ra, rb = self.terms
+        r_q = -dq - ra - rb
+        rq_max, rq_l2 = _weighted_norms(r_q, self.q.grid)
+        gap = float(np.max(np.abs(el.residual.values[1:-1] + r_q[1:-1])))
         return EquivalenceReport(gap, el.max_abs, rq_max, el.l2, rq_l2)
+
+
+def _residual_terms(spec: LagrangianSpec, args, p_alpha: SampledFn, p_beta: SampledFn):
+    """dL/dq, D_right^alpha p_alpha and D_left^beta p_beta: the terms both residual routes add."""
+    g = p_alpha.grid
+    ru = apply(build_operator(OperatorKind.RL_RIGHT, spec.alpha, g), p_alpha)
+    rv = apply(build_operator(OperatorKind.RL_LEFT, spec.beta, g), p_beta)
+    return _field(spec.dL_dq(*args), g.n), ru.values, rv.values
 
 
 def _weighted_norms(res: np.ndarray, grid: Grid) -> tuple[float, float]:
@@ -273,7 +278,9 @@ def hamiltonian(spec: LagrangianSpec, q: SampledFn) -> TrajectoryBundle:
 
     H = p_alpha * dl + p_beta * dr - L holds pointwise by construction.
     """
-    return _Evaluation(spec, q).bundle()
+    ev = _Evaluation(spec, q)
+    h = ev.p_alpha.values * ev.dl.values + ev.p_beta.values * ev.dr.values - ev.lagrangian
+    return TrajectoryBundle(q, ev.dl, ev.dr, ev.p_alpha, ev.p_beta, SampledFn(q.grid, h))
 
 
 def hamilton_residuals(
@@ -293,19 +300,16 @@ def hamilton_residuals(
         r_q = -dL/dq - D_right^alpha p_alpha - D_left^beta p_beta,
 
     using dH/dq = -dL/dq (the energy depends on q only through L once
-    the momenta are held fixed). It equals the negated stationarity
-    residual whenever the momenta are consistent, since both routes use
-    the same operator matrices.
+    the momenta are held fixed). It adds the stationarity residual's terms,
+    formed from the bundle's own velocities and momenta, so it equals
+    that residual negated whenever the momenta are consistent.
     """
     q = bundle.q
-    t = q.grid.nodes
-    n = q.grid.n
-    args = (t, q.values, bundle.dL.values, bundle.dR.values)
-    r_dl = bundle.p_alpha.values - _field(spec.dL_ddL(*args), n)
-    r_dr = bundle.p_beta.values - _field(spec.dL_ddR(*args), n)
-    ra = apply(build_operator(OperatorKind.RL_RIGHT, spec.alpha, q.grid), bundle.p_alpha)
-    rb = apply(build_operator(OperatorKind.RL_LEFT, spec.beta, q.grid), bundle.p_beta)
-    r_q = -_field(spec.dL_dq(*args), n) - ra.values - rb.values
+    args = (q.grid.nodes, q.values, bundle.dL.values, bundle.dR.values)
+    r_dl = bundle.p_alpha.values - _field(spec.dL_ddL(*args), q.grid.n)
+    r_dr = bundle.p_beta.values - _field(spec.dL_ddR(*args), q.grid.n)
+    dq, ra, rb = _residual_terms(spec, args, bundle.p_alpha, bundle.p_beta)
+    r_q = -dq - ra - rb
     return (
         SampledFn(q.grid, r_dl),
         SampledFn(q.grid, r_dr),
@@ -316,8 +320,8 @@ def hamilton_residuals(
 def equivalence_gap(spec: LagrangianSpec, q: SampledFn) -> EquivalenceReport:
     """Compare the stationarity residual with the negated canonical defect.
 
-    Both sides are assembled from the same pointwise partials and the
-    same Riemann-Liouville matrices, so the gap is rounding-level for
-    any trajectory, however far from stationary.
+    Both sides add the same dL/dq and Riemann-Liouville terms, computed
+    once, so the gap is rounding-level for any trajectory, however far
+    from stationary. The energy and the consistency defects are not formed.
     """
     return _Evaluation(spec, q).equivalence()

@@ -223,6 +223,11 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(0.5, 0.75, bad)
 
+    def test_rejects_non_integral_sizes(self):
+        # int() would run n = 16, 32 instead
+        with pytest.raises(ValueError, match="integer number of subintervals, got n = 16.9"):
+            convergence_study(0.5, 0.75, [16.9, 32.2])
+
     @staticmethod
     def _rising_solve(monkeypatch, l2_errs):
         # a stand-in solve whose l2_err at the i-th size is l2_errs[i]

@@ -27,6 +27,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(a, b, n)
 
+    @pytest.mark.parametrize("n", [8.9, 8.5, np.float64(16.2)])
+    def test_rejects_non_integral_n(self, n):
+        with pytest.raises(ValueError, match=f"integer number of subintervals, got n = {n}"):
+            Grid(0.0, 1.0, n)
+
+    @pytest.mark.parametrize("n", [8, 8.0, np.float64(8.0), np.int64(8), np.int32(8)])
+    def test_integral_n_is_kept(self, n):
+        g = Grid(0.0, 1.0, n)
+        assert g.n == 8 and type(g.n) is int
+
     @pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0),
                                      (0.0, math.nan), (-1e308, 1e308)])
     def test_rejects_non_finite_interval(self, a, b):

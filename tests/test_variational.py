@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ from fracham import (
     Grid,
     GridMismatchError,
     LagrangianSpec,
+    OperatorKind,
     SampledFn,
     TrajectoryBundle,
+    apply,
+    build_operator,
     el_residual,
     equivalence_gap,
     evaluate_functional,
@@ -95,6 +100,20 @@ class TestProbeGate:
                 eval_L=lambda t, q, dl, dr: 0.5 * dl**2,
                 dL_dq=lambda t, q, dl, dr: np.nan,
                 dL_ddL=lambda t, q, dl, dr: dl,
+                dL_ddR=_zeros,
+                alpha=0.5,
+                beta=0.5,
+            )
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_partial_is_caught(self, value):
+        # |inf - fd| <= 1e-6 * max(1, inf, |fd|) is inf <= inf, which must not count as agreement
+        with pytest.raises(ValueError, match=rf"dL_ddL disagrees .* callback {value:.8g}, "
+                                             r"finite-difference -?\d"):
+            LagrangianSpec(
+                eval_L=lambda t, q, dl, dr: 0.5 * dl**2,
+                dL_dq=_zeros,
+                dL_ddL=lambda t, q, dl, dr: np.full_like(dl, value),
                 dL_ddR=_zeros,
                 alpha=0.5,
                 beta=0.5,
@@ -395,9 +414,14 @@ class TestHamiltonResiduals:
             p_beta=bundle.p_beta,
             H=bundle.H,
         )
-        r_dl, r_dr, _ = hamilton_residuals(spec, doctored)
+        r_dl, r_dr, r_q = hamilton_residuals(spec, doctored)
         assert np.allclose(r_dl.values, np.ones(33), rtol=0, atol=1e-15)
         assert np.array_equal(r_dr.values, np.zeros(33))
+        # r_q reads the bundle's momenta, not momenta re-derived from the spec
+        dl_dq = spec.dL_dq(g.nodes, bundle.q.values, bundle.dL.values, bundle.dR.values)
+        ra = apply(build_operator(OperatorKind.RL_RIGHT, spec.alpha, g), doctored.p_alpha)
+        rb = apply(build_operator(OperatorKind.RL_LEFT, spec.beta, g), bundle.p_beta)
+        assert np.array_equal(r_q.values, -dl_dq - ra.values - rb.values, equal_nan=True)
 
     def test_zero_momenta_and_no_coordinate_dependence(self):
         g = Grid(0.0, 1.0, 32)
@@ -490,18 +514,37 @@ class TestOneEvaluationPerQuery:
     def test_equivalence_gap(self, applies, spec):
         g = Grid(0.0, 1.0, 64)
         equivalence_gap(spec, SampledFn(g, np.sin(g.nodes)))
-        # two velocities, two Riemann-Liouville terms per residual route
-        assert len(applies) == 6
+        # two velocities, and the two Riemann-Liouville terms both residual routes add
+        assert len(applies) == 4
+
+    @pytest.mark.parametrize("spec", [example_lagrangian(0.5, 0.75), two_sided_spec(0.4, 0.7)],
+                             ids=["model", "two-sided"])
+    def test_equivalence_gap_runs_each_partial_once(self, spec):
+        calls = []
+
+        def counting(name):
+            callback = getattr(spec, name)
+
+            def counted(*args):
+                calls.append(name)
+                return callback(*args)
+
+            return counted
+
+        names = ("eval_L", "dL_dq", "dL_ddL", "dL_ddR")
+        counted = dataclasses.replace(spec, validate=False, **{k: counting(k) for k in names})
+        g = Grid(0.0, 1.0, 64)
+        equivalence_gap(counted, SampledFn(g, np.sin(g.nodes)))
+        # the energy is not formed, so eval_L never runs
+        assert Counter(calls) == {"dL_dq": 1, "dL_ddL": 1, "dL_ddR": 1}
 
     def test_solve(self, applies):
         from fracham import ExampleProblem, solve
 
         solve(ExampleProblem(0.5, 0.75, Grid(0.0, 1.0, 64)))
-        assert len(applies) == 6
+        assert len(applies) == 4
 
     def test_solve_runs_the_lagrangian_once(self, monkeypatch):
-        import dataclasses
-
         import fracham.solver
         from fracham import ExampleProblem, solve
 

@@ -311,7 +311,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:
-        # dense operators take O(n^2) memory, so this means n is too large
+        # operators above n = 512 take O(n) memory (8 n^2 bytes up to it),
+        # so this means n is far too large
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

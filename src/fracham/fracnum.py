@@ -17,7 +17,9 @@ derivatives, -mu for integrals). In left form each is a lower-triangular
 Toeplitz matrix acting on first differences of the nodal values, plus
 f(a) times the column (x - a)^(-nu) / Gamma(1 - nu), which Caputo kinds
 omit. ``FracOperator`` stores only that O(n) generator, the Toeplitz
-column and the endpoint column, and derives the dense T from it.
+column and the endpoint column. Up to n = 512 ``apply`` multiplies by a
+dense T derived from it; above, by an FFT convolution that forms no
+n x n array.
 Left kinds only look backward (rows are lower triangular), right kinds
 only forward.
 The Riemann-Liouville kinds are singular at their anchored endpoint
@@ -243,7 +245,8 @@ class FracOperator:
     Right kinds are the left kinds conjugated by index reversal
     i -> n - i. ``unusable`` lists rows where the underlying operator is
     singular; only the Riemann-Liouville kinds have one (row 0 on the
-    left, row n on the right).
+    left, row n on the right). No n x n array is held above n = 512,
+    where ``apply`` convolves with ``kernel`` by FFT.
     """
 
     kind: OperatorKind
@@ -255,9 +258,9 @@ class FracOperator:
 
     @cached_property
     def _left_matrix(self) -> np.ndarray:
-        # the dense T that apply() multiplies. Every kind of one family has
-        # the same kernel, so all share the matrix of the family's left
-        # kind at their (order, grid)
+        # the dense T that apply() multiplies up to n = _DIRECT_MAX. Every
+        # kind of one family has the same kernel, so all share the matrix
+        # of the family's left kind at their (order, grid)
         family = OperatorKind.INT_LEFT if self.kind.is_integral else OperatorKind.CAPUTO_LEFT
         if self.kind is not family:
             return _build(family, self.order, self.grid)._left_matrix
@@ -275,6 +278,21 @@ def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
     padded = np.concatenate((col[::-1], np.zeros(m - 1)))
     # window k is padded[k : k + m], so row i is window m - 1 - i
     return np.ascontiguousarray(sliding_window_view(padded, m)[::-1])
+
+
+# longest product taken directly; longer ones go through the FFT. Up to about
+# this length the direct product is the faster one
+_DIRECT_MAX = 512
+
+
+def _toeplitz_product(kernel: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+    """First m terms of the convolution kernel * v: the m x m lower-triangular
+    Toeplitz matrix with first column kernel[:m] times v[:m], either one
+    zero-padded to m terms. Direct up to _DIRECT_MAX terms, FFT above."""
+    if m <= _DIRECT_MAX:
+        return np.convolve(kernel, v)[:m]
+    size = 1 << (2 * m - 2).bit_length()  # a power of two >= 2m - 1: no wrap-around
+    return np.fft.irfft(np.fft.rfft(kernel[:m], size) * np.fft.rfft(v[:m], size), size)[:m]
 
 
 @lru_cache(maxsize=128)
@@ -315,11 +333,12 @@ def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
     the integral order mu for the INT kinds; either way it must lie in
     (0, 1). Every kind is the L1 scheme at the signed order nu, alpha for
     derivatives and -mu for integrals. Building costs O(n) time and
-    memory. ``apply`` makes the dense Toeplitz matrix on its first call.
-    Operators are cached, and their arrays are read-only, so repeated
-    calls with equal arguments are cheap. All kinds of one family (the
-    four derivative kinds, or the two integral kinds) at one (order,
-    grid) share a single Toeplitz matrix.
+    memory. Up to n = 512 ``apply`` makes the dense Toeplitz matrix on its
+    first call, and all kinds of one family (the four derivative kinds,
+    or the two integral kinds) at one (order, grid) share it; above, an
+    operator holds O(n) memory only. Operators are cached, and their
+    arrays are read-only, so repeated calls with equal arguments are
+    cheap.
     """
     if not isinstance(kind, OperatorKind):
         raise TypeError(f"kind must be an OperatorKind, got {kind!r}")
@@ -336,8 +355,10 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     The Toeplitz matrix multiplies first differences for every kind,
     y[i] = sum_k kernel[i-1-k] (f[k+1] - f[k]), which annihilates
     constant inputs bit-exactly; f(a) times ``op.correction`` is added
-    where there is one. The dense Toeplitz matrix is built on the first
-    call and shared by the operator's family. Rows listed in
+    where there is one. Up to n = 512 the product is with the dense
+    Toeplitz matrix, built on the first call and shared by the
+    operator's family; above, it is an FFT convolution with
+    ``op.kernel`` in O(n log n) time and O(n) memory. Rows listed in
     ``op.unusable`` come back as NaN sentinels that downstream quadrature
     replaces (see quad_trapezoid).
     """
@@ -349,8 +370,12 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     left = op.kind.is_left
     # contiguous reversal keeps the BLAS path identical to a left apply
     v = f.values if left else np.ascontiguousarray(f.values[::-1])
-    y = np.zeros(op.grid.n + 1)
-    y[1:] = op._left_matrix @ np.diff(v)
+    n = op.grid.n
+    y = np.zeros(n + 1)
+    if n <= _DIRECT_MAX:
+        y[1:] = op._left_matrix @ np.diff(v)
+    else:
+        y[1:] = _toeplitz_product(op.kernel, np.diff(v), n)
     if op.correction is not None:
         y = y + v[0] * op.correction
     if not left:

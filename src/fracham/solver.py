@@ -25,6 +25,7 @@ from .fracnum import (
     OperatorKind,
     SampledFn,
     _subintervals,
+    _toeplitz_product,
     as_order,
     build_operator,
     gamma,
@@ -151,8 +152,8 @@ def _series_reciprocal(k: np.ndarray) -> np.ndarray:
     c = np.array([1.0 / k[0]])
     while c.size < k.size:
         # k c = 1 + x^c.size r, so c (2 - k c) appends the terms of -c r
-        r = np.convolve(k[: 2 * c.size], c)[c.size : 2 * c.size]
-        c = np.concatenate((c, -np.convolve(c, r)[: min(c.size, k.size - c.size)]))
+        r = _toeplitz_product(k[: 2 * c.size], c, 2 * c.size)[c.size :]
+        c = np.concatenate((c, -_toeplitz_product(c, r, min(c.size, k.size - c.size))))
     return c
 
 
@@ -179,17 +180,17 @@ def solve(problem: ExampleProblem) -> SolveReport:
     s2 = trapezoid_weights(grid)[1:]
 
     def normal_inverse(y):  # (T^T S^2 T)^-1 y; T^T is T conjugated by index reversal
-        return np.convolve(kinv, np.convolve(kinv, y[::-1])[:n][::-1] / s2)[:n]
+        return _toeplitz_product(kinv, _toeplitz_product(kinv, y[::-1], n)[::-1] / s2, n)
 
     v = normal_inverse(np.ones(n))
-    d0 = np.convolve(kinv, target_velocity(problem)[1:])[:n]
+    d0 = _toeplitz_product(kinv, target_velocity(problem)[1:], n)
     d = d0 + v * ((problem.q_right - problem.q_left - d0.sum()) / v.sum())
 
     # the gate estimates cond(M) of the interior system M = P^T T^T S^2 T P,
     # where P x is the first differences of [0, x, 0]
     def m(x):
-        y = s2 * np.convolve(k, np.diff(x, prepend=0.0, append=0.0))[:n]
-        return -np.diff(np.convolve(k, y[::-1])[:n][::-1])
+        y = s2 * _toeplitz_product(k, np.diff(x, prepend=0.0, append=0.0), n)
+        return -np.diff(_toeplitz_product(k, y[::-1], n)[::-1])
 
     def m_inverse(b):  # solve P^T z = b, then (T^T S^2 T) d = z with sum(d) = 0
         u = normal_inverse(np.concatenate(([0.0], -np.cumsum(b))))

@@ -95,7 +95,7 @@ class TestMatrixStructure:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_fresh_operator_holds_only_its_generator(self, kind):
-        # the dense Toeplitz matrix (~134 MB at this size) waits for apply
+        # building is O(n); a dense T would be 134 MB at this size
         fracnum._build.cache_clear()
         op = build_operator(kind, 0.5, Grid(0.0, 1.0, 4096))
         held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
@@ -115,10 +115,10 @@ class TestMatrixStructure:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_used_operator_keeps_no_nodal_matrix(self, kind):
-        # the nodal matrix is derived from the generator and not kept; apply
-        # keeps only the Toeplitz matrix, n x n for derivative kinds and
-        # shared by a family
-        n = 4096
+        # the nodal matrix is derived from the generator and not kept; up to
+        # n = 512 apply keeps only the Toeplitz matrix, n x n for derivative
+        # kinds and shared by a family
+        n = 512
         fracnum._build.cache_clear()
         try:
             op = build_operator(kind, 0.5, Grid(0.0, 1.0, n))
@@ -133,6 +133,34 @@ class TestMatrixStructure:
                 assert [v.shape for v in dense] == [(n, n)]
         finally:
             fracnum._build.cache_clear()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_large_operator_builds_no_dense_matrix(self, kind, monkeypatch):
+        # above n = 512 apply convolves by FFT and never forms T
+        def no_dense(col):
+            raise AssertionError("dense Toeplitz matrix built")
+
+        monkeypatch.setattr(fracnum, "_lower_toeplitz", no_dense)
+        fracnum._build.cache_clear()
+        try:
+            op = build_operator(kind, 0.5, Grid(0.0, 1.0, 4096))
+            apply(op, SampledFn(op.grid, np.sin(op.grid.nodes)))
+            assert not [v for v in vars(op).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+        finally:
+            fracnum._build.cache_clear()
+
+    @pytest.mark.parametrize("order", [0.01, 0.5, 0.999])
+    @pytest.mark.parametrize("n", [513, 1024, 4096])
+    @pytest.mark.parametrize("integral", [False, True], ids=["derivative", "integral"])
+    def test_fft_product_matches_dense_product(self, integral, n, order):
+        # the bound is relative to |T| |d|, the scale of the terms summed: on
+        # white noise the integral kinds' output can be far smaller than it
+        kind = K.INT_LEFT if integral else K.CAPUTO_LEFT
+        kernel = build_operator(kind, order, grid01(n)).kernel
+        d = np.random.default_rng(n).standard_normal(n)
+        T = fracnum._lower_toeplitz(kernel)
+        err = np.abs(fracnum._toeplitz_product(kernel, d, n) - T @ d)
+        assert np.max(err) <= 1e-14 * np.max(np.abs(T) @ np.abs(d))
 
     def test_caputo_row_sums_vanish(self):
         # constants must be annihilated: every row of the nodal matrix sums to ~0

@@ -1,6 +1,7 @@
 """Property tests of the bit-exact structural laws over random (n, order, [a, b])."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,3 +67,25 @@ def test_rl_equals_caputo_when_f_vanishes_at_the_anchor(grid, order, seed):
     rl = apply(build_operator(K.RL_RIGHT, order, grid), f).values
     ca = apply(build_operator(K.CAPUTO_RIGHT, order, grid), f).values
     assert np.array_equal(rl[:-1], ca[:-1])
+
+
+# the draws above stay at n <= 300, where apply multiplies by the dense T;
+# above n = 512 it convolves by FFT, and the laws must hold there too
+fft_path = pytest.mark.parametrize(
+    "grid,order", [(Grid(-1.5, 2.0, n), order) for n in (513, 2048) for order in (0.01, 0.5, 0.999)]
+)
+
+
+@fft_path
+def test_caputo_annihilates_constants_on_the_fft_path(grid, order):
+    test_caputo_annihilates_constants.hypothesis.inner_test(grid, order, -3.7)
+
+
+@fft_path
+def test_right_kinds_mirror_left_kinds_on_the_fft_path(grid, order):
+    test_right_kinds_mirror_left_kinds.hypothesis.inner_test(grid, order, 19)
+
+
+@fft_path
+def test_rl_equals_caputo_when_f_vanishes_at_the_anchor_on_the_fft_path(grid, order):
+    test_rl_equals_caputo_when_f_vanishes_at_the_anchor.hypothesis.inner_test(grid, order, 19)

@@ -108,10 +108,12 @@ class TestRitzSystem:
         with pytest.raises(SingularSystemError, match="estimate nan"):
             solve(problem(64))
 
-    def test_solve_allocates_one_dense_matrix(self):
-        # at n = 2048 the one dense T that the residual evaluation builds is
-        # 8 n^2 bytes; the Ritz solve itself allocates O(n)
-        n = 2048
+    # up to n = 512 the one dense T that the residual evaluation builds is
+    # 8 n^2 bytes; above, nothing is dense, and the peak (measured 32 * 8n
+    # bytes at n = 2048) is O(n). The Ritz solve itself allocates O(n)
+    @pytest.mark.parametrize("n,bound", [(512, 1.5 * 8 * 512**2), (2048, 48 * 8 * 2048)],
+                             ids=["n512", "n2048"])
+    def test_solve_allocates_one_dense_matrix(self, n, bound):
         p = problem(n)
         fracnum._build.cache_clear()
         tracemalloc.start()
@@ -121,12 +123,13 @@ class TestRitzSystem:
         finally:
             tracemalloc.stop()
             fracnum._build.cache_clear()
-        assert peak < 1.5 * 8 * n**2
+        assert peak < bound
 
-    def test_solve_builds_one_dense_matrix(self, monkeypatch):
+    @pytest.mark.parametrize("n,dense", [(64, 1), (2048, 0)])
+    def test_solve_builds_one_dense_matrix(self, n, dense, monkeypatch):
         # only the residual evaluation's applies build a dense matrix, the
-        # cached left-Caputo Toeplitz T they share; the Ritz solve uses the
-        # operator's kernel alone
+        # cached left-Caputo Toeplitz T they share, and only up to n = 512;
+        # the Ritz solve uses the operator's kernel alone
         calls = []
         build = fracnum._lower_toeplitz
 
@@ -137,10 +140,27 @@ class TestRitzSystem:
         monkeypatch.setattr(fracnum, "_lower_toeplitz", counting)
         fracnum._build.cache_clear()
         try:
-            solve(problem(64))
+            solve(problem(n))
         finally:
             fracnum._build.cache_clear()
-        assert len(calls) == 1
+        assert len(calls) == dense
+
+    def test_large_grid_in_linear_memory(self):
+        # at n = 2^16 a dense T would take 34 GB; with the FFT products the
+        # solve and the gap peak at 33 * 8n bytes (16 MiB) under tracemalloc
+        n = 2**16
+        fracnum._build.cache_clear()
+        tracemalloc.start()
+        try:
+            rep = solve(problem(n))
+            gap = equivalence_gap(example_lagrangian(0.5, 0.75), rep.q_numeric).gap
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            fracnum._build.cache_clear()
+        assert peak < 48 * 8 * n
+        assert gap <= 1e-10
+        assert rep.l2_err < solve(problem(2**12)).l2_err
 
 
 class TestSolve:
@@ -266,7 +286,7 @@ class TestConvergenceStudy:
         try:
             rows = convergence_study(alpha, beta, [256, 512, 1024, 2048, 4096])
         finally:
-            fracnum._build.cache_clear()  # the n = 4096 operators hold 134 MB each
+            fracnum._build.cache_clear()  # the cache would keep the dense T of n <= 512
         measured = np.log2(rows[-2].l2_err / rows[-1].l2_err)
         assert measured >= order - RATE_MARGIN
 

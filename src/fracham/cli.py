@@ -1,7 +1,8 @@
 """Command line front end.
 
 Four subcommands emit plot-ready CSV (12 significant digits, comma
-separated, comments prefixed with '#'):
+separated, an empty field for a non-finite value, comments prefixed
+with '#'):
 
     deriv              tabulate one fractional operator applied to a function
     solve-example      run the model-problem solver and report errors
@@ -13,15 +14,18 @@ numbers and at most one of t, pow(t,c), sin(t), cos(t) and exp(t);
 whitespace is allowed between tokens.
 
 Exit codes: 0 success / thresholds met, 1 threshold failure, 2 usage or
-parameter error (including a grid too large for memory or an --out path
-that cannot be written), 3 numeric domain error.
+parameter error (including a grid too large for memory, an --out path
+that cannot be written or an --l2-threshold that is not positive), 3
+numeric domain error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
+from dataclasses import astuple
 from typing import Callable
 
 import numpy as np
@@ -60,6 +64,14 @@ class CliError(Exception):
 
 def _fmt(x: float) -> str:
     return "%.12g" % x
+
+
+def _table(header: str, rows) -> list[str]:
+    """CSV lines: the header, then each row of numbers at 12 significant
+    digits, a non-finite one printed empty. Rows hold Python numbers, as
+    ``.tolist()`` gives them: math.isfinite on those is several times
+    cheaper than np.isfinite on numpy scalars."""
+    return [header, *(",".join(_fmt(x) if math.isfinite(x) else "" for x in row) for row in rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +157,7 @@ def _emit(lines: list[str], out_path: str | None) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _run_deriv(args) -> int:
+def _run_deriv(args) -> tuple[list[str], int]:
     kind = OperatorKind(args.kind)
     a, b = _parse_interval(args.interval)
     fn = parse_function(args.fn)
@@ -161,12 +173,7 @@ def _run_deriv(args) -> int:
             EXIT_DOMAIN, f"function is not finite at node t = {grid.nodes[i]:g}"
         )
     result = apply(op, SampledFn(grid, values))
-
-    lines = ["t,value"]
-    for t, y in zip(grid.nodes, result.values):
-        lines.append(f"{_fmt(t)},{_fmt(y) if np.isfinite(y) else ''}")
-    _emit(lines, args.out)
-    return EXIT_OK
+    return _table("t,value", zip(grid.nodes.tolist(), result.values.tolist())), EXIT_OK
 
 
 def _example_problem(args) -> ExampleProblem:
@@ -175,20 +182,19 @@ def _example_problem(args) -> ExampleProblem:
     return ExampleProblem(args.alpha, args.beta, Grid(0.0, 1.0, args.n))
 
 
-def _run_solve_example(args) -> int:
+def _run_solve_example(args) -> tuple[list[str], int]:
     problem = _example_problem(args)
+    if not args.l2_threshold > 0:  # rejects NaN too: no l2_err could fall below it
+        raise CliError(EXIT_USAGE, f"--l2-threshold must be positive, got {args.l2_threshold:g}")
     report = solve(problem)
-    lines = ["t,q_numeric,q_exact,abs_err"]
-    for t, qn, qe in zip(
-        problem.grid.nodes, report.q_numeric.values, report.q_exact.values
-    ):
-        lines.append(f"{_fmt(t)},{_fmt(qn)},{_fmt(qe)},{_fmt(abs(qn - qe))}")
+    q, qe = report.q_numeric.values, report.q_exact.values
+    columns = (problem.grid.nodes, q, qe, np.abs(q - qe))
+    lines = _table("t,q_numeric,q_exact,abs_err", zip(*(c.tolist() for c in columns)))
     lines.append(
         f"# max_err={_fmt(report.max_err)} l2_err={_fmt(report.l2_err)} "
         f"el_max={_fmt(report.el_max)} hamilton_max={_fmt(report.hamilton_max)}"
     )
-    _emit(lines, args.out)
-    return EXIT_OK if report.l2_err < args.l2_threshold else EXIT_THRESHOLD
+    return lines, EXIT_OK if report.l2_err < args.l2_threshold else EXIT_THRESHOLD
 
 
 def _trial_values(args, grid: Grid) -> np.ndarray:
@@ -202,7 +208,7 @@ def _trial_values(args, grid: Grid) -> np.ndarray:
     return coeffs[0] + coeffs[1] * t + coeffs[2] * t**2 + coeffs[3] * t**3
 
 
-def _run_check_equivalence(args) -> int:
+def _run_check_equivalence(args) -> tuple[list[str], int]:
     problem = _example_problem(args)
     trial = SampledFn(problem.grid, _trial_values(args, problem.grid))
     rep = equivalence_gap(example_lagrangian(args.alpha, args.beta), trial)
@@ -210,11 +216,10 @@ def _run_check_equivalence(args) -> int:
         "trial,defect,el_max,hamilton_max",
         f"{args.trial},{_fmt(rep.gap)},{_fmt(rep.el_max)},{_fmt(rep.hamilton_max)}",
     ]
-    _emit(lines, args.out)
-    return EXIT_OK if rep.gap < _EQUIV_GAP_LIMIT else EXIT_THRESHOLD
+    return lines, EXIT_OK if rep.gap < _EQUIV_GAP_LIMIT else EXIT_THRESHOLD
 
 
-def _run_converge(args) -> int:
+def _run_converge(args) -> tuple[list[str], int]:
     try:
         n_list = [int(s) for s in args.n_list.split(",") if s.strip()]
     except ValueError:
@@ -229,13 +234,8 @@ def _run_converge(args) -> int:
         rows = exc.rows
         monotone = False
 
-    lines = ["n,max_err,l2_err,el_max,hamilton_max"]
-    for r in rows:
-        lines.append(
-            f"{r.n},{_fmt(r.max_err)},{_fmt(r.l2_err)},{_fmt(r.el_max)},{_fmt(r.hamilton_max)}"
-        )
-    _emit(lines, args.out)
-    return EXIT_OK if monotone else EXIT_THRESHOLD
+    lines = _table("n,max_err,l2_err,el_max,hamilton_max", map(astuple, rows))
+    return lines, EXIT_OK if monotone else EXIT_THRESHOLD
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +249,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "and equivalence/refinement checks, with CSV output.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options of the model problem, shared by the three commands that solve it
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--alpha", type=float, required=True, help="order in (0, 1)")
+    model.add_argument("--beta", type=float, required=True, help="minimizer t^beta, alpha < beta <= 1")
+    model.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     p = sub.add_parser("deriv", help="tabulate one operator applied to a function")
     p.add_argument("--kind", required=True, choices=[k.value for k in OperatorKind],
@@ -262,45 +267,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=_run_deriv)
 
-    p = sub.add_parser("solve-example", help="solve the model problem")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p = sub.add_parser("solve-example", parents=[model], help="solve the model problem")
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--l2-threshold", type=float, default=1e-2,
-                   help="exit 0 when l2_err falls below this (default 1e-2)")
-    p.add_argument("--out", default=None)
+                   help="exit 0 when l2_err falls below this (default 1e-2); must be > 0")
     p.set_defaults(func=_run_solve_example)
 
-    p = sub.add_parser("check-equivalence",
+    p = sub.add_parser("check-equivalence", parents=[model],
                        help="compare stationarity and canonical residuals on a trial")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--trial", default="exact",
                    choices=["exact", "linear", "random-polynomial"])
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the random-polynomial trial")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_run_check_equivalence)
 
-    p = sub.add_parser("converge", help="refinement study across grid sizes")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p = sub.add_parser("converge", parents=[model], help="refinement study across grid sizes")
     p.add_argument("--n-list", required=True, help="comma-separated grid sizes, e.g. 64,128,256")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_run_converge)
 
     return parser
 
 
+# built once: parsing does not change it, and building it costs about 1 ms
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        lines, code = args.func(args)
+        _emit(lines, args.out)
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -17,9 +17,12 @@ derivatives, -mu for integrals). In left form each is a lower-triangular
 Toeplitz matrix acting on first differences of the nodal values, plus
 f(a) times the column (x - a)^(-nu) / Gamma(1 - nu), which Caputo kinds
 omit. ``FracOperator`` stores only that O(n) generator, the Toeplitz
-column and the endpoint column. Up to n = 512 ``apply`` multiplies by a
-dense T derived from it; above, by an FFT convolution that forms no
-n x n array.
+column and the endpoint column. One private type holds T as its column
+and owns every product with T, its transpose and its inverse (the
+Ritz solver uses all three); all kinds of one family at one (order,
+grid) share one such object. Up to n = 512 ``apply`` multiplies by the
+dense T that the object makes and keeps; above, by an FFT convolution
+that forms no n x n array.
 Left kinds only look backward (rows are lower triangular), right kinds
 only forward.
 The Riemann-Liouville kinds are singular at their anchored endpoint
@@ -237,6 +240,9 @@ class FracOperator:
 
     * ``kernel``: the first column of T, the L1 column
       h^(-nu) / Gamma(2 - nu) * ((j+1)^(1-nu) - j^(1-nu)), n entries.
+      T is held by a private Toeplitz object that every kind of one
+      family (the four derivative kinds, or the two integral kinds) at
+      one (order, grid) shares, so the family computes one kernel array.
     * ``correction``: the column added times f(a), (x - a)^(-nu) /
       Gamma(1 - nu) with entry 0 set to 0 (n + 1 entries). For the
       Riemann-Liouville kinds it is the endpoint term, for the integral
@@ -252,19 +258,14 @@ class FracOperator:
     kind: OperatorKind
     order: FractionalOrder
     grid: Grid
-    kernel: np.ndarray = field(repr=False)
+    _toeplitz: _Toeplitz = field(repr=False)
     correction: np.ndarray | None = field(default=None, repr=False)
     unusable: tuple[int, ...] = ()
 
-    @cached_property
-    def _left_matrix(self) -> np.ndarray:
-        # the dense T that apply() multiplies up to n = _DIRECT_MAX. Every
-        # kind of one family has the same kernel, so all share the matrix
-        # of the family's left kind at their (order, grid)
-        family = OperatorKind.INT_LEFT if self.kind.is_integral else OperatorKind.CAPUTO_LEFT
-        if self.kind is not family:
-            return _build(family, self.order, self.grid)._left_matrix
-        return _freeze(_lower_toeplitz(self.kernel))
+    @property
+    def kernel(self) -> np.ndarray:
+        """The first column of T, read-only."""
+        return self._toeplitz.col
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -295,6 +296,40 @@ def _toeplitz_product(kernel: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(kernel[:m], size) * np.fft.rfft(v[:m], size), size)[:m]
 
 
+@dataclass(frozen=True, eq=False)
+class _Toeplitz:
+    """The n x n lower-triangular Toeplitz matrix T with first column ``col``.
+
+    Every product with T, with its transpose or with its inverse goes
+    through _toeplitz_product; ``dense`` is T itself, made on first use
+    and kept, which ``apply`` multiplies up to n = _DIRECT_MAX.
+    """
+
+    col: np.ndarray
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return _toeplitz_product(self.col, v, self.col.size)
+
+    def transpose(self, v: np.ndarray) -> np.ndarray:
+        """T^T v: T^T is T conjugated by index reversal."""
+        return _toeplitz_product(self.col, v[::-1], self.col.size)[::-1]
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        return _freeze(_lower_toeplitz(self.col))
+
+    def inverse(self) -> "_Toeplitz":
+        """T^-1, whose column is the power series 1 / col(x) to col.size
+        terms, by Newton doubling c <- c (2 - col c). Not kept, since no
+        caller inverts one T twice."""
+        k, c = self.col, np.array([1.0 / self.col[0]])
+        while c.size < k.size:
+            # k c = 1 + x^c.size r, so c (2 - k c) appends the terms of -c r
+            r = _toeplitz_product(k[: 2 * c.size], c, 2 * c.size)[c.size :]
+            c = np.concatenate((c, -_toeplitz_product(c, r, min(c.size, k.size - c.size))))
+        return _Toeplitz(_freeze(c))
+
+
 @lru_cache(maxsize=128)
 def _build(kind: OperatorKind, order: FractionalOrder, grid: Grid) -> FracOperator:
     n, h = grid.n, grid.h
@@ -302,16 +337,21 @@ def _build(kind: OperatorKind, order: FractionalOrder, grid: Grid) -> FracOperat
     # Riemann-Liouville derivative of order -mu, and the L1 scheme at -mu
     # integrates the piecewise-linear interpolant exactly
     nu = -order.value if kind.is_integral else order.value
-
-    # b_j = (j+1)^(1-nu) - j^(1-nu), the L1 convolution coefficients
-    scale = h ** (-nu) / gamma(2.0 - nu)
-    j = np.arange(n, dtype=np.float64)
-    if nu < 0.8:
-        b = (j + 1.0) ** (1.0 - nu) - j ** (1.0 - nu)
+    family = OperatorKind.INT_LEFT if kind.is_integral else OperatorKind.CAPUTO_LEFT
+    if kind is not family:
+        # every kind of one family has the same T: share the left kind's
+        toeplitz = _build(family, order, grid)._toeplitz
     else:
-        # the direct difference cancels as nu -> 1; this form does not
-        b = np.ones(n)
-        b[1:] = j[1:] ** (1.0 - nu) * np.expm1((1.0 - nu) * np.log1p(1.0 / j[1:]))
+        # b_j = (j+1)^(1-nu) - j^(1-nu), the L1 convolution coefficients
+        scale = h ** (-nu) / gamma(2.0 - nu)
+        j = np.arange(n, dtype=np.float64)
+        if nu < 0.8:
+            b = (j + 1.0) ** (1.0 - nu) - j ** (1.0 - nu)
+        else:
+            # the direct difference cancels as nu -> 1; this form does not
+            b = np.ones(n)
+            b[1:] = j[1:] ** (1.0 - nu) * np.expm1((1.0 - nu) * np.log1p(1.0 / j[1:]))
+        toeplitz = _Toeplitz(_freeze(scale * b))
     correction = None
     unusable: tuple[int, ...] = ()
     if kind not in (OperatorKind.CAPUTO_LEFT, OperatorKind.CAPUTO_RIGHT):
@@ -323,7 +363,7 @@ def _build(kind: OperatorKind, order: FractionalOrder, grid: Grid) -> FracOperat
     if kind.is_riemann_liouville:
         # at the anchored endpoint the correction blows up; flag the row
         unusable = (0,) if kind.is_left else (n,)
-    return FracOperator(kind, order, grid, _freeze(scale * b), correction, unusable)
+    return FracOperator(kind, order, grid, toeplitz, correction, unusable)
 
 
 def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
@@ -333,9 +373,10 @@ def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
     the integral order mu for the INT kinds; either way it must lie in
     (0, 1). Every kind is the L1 scheme at the signed order nu, alpha for
     derivatives and -mu for integrals. Building costs O(n) time and
-    memory. Up to n = 512 ``apply`` makes the dense Toeplitz matrix on its
-    first call, and all kinds of one family (the four derivative kinds,
-    or the two integral kinds) at one (order, grid) share it; above, an
+    memory. All kinds of one family (the four derivative kinds, or the
+    two integral kinds) at one (order, grid) share one Toeplitz object,
+    so the kernel is computed once per family. Up to n = 512 ``apply``
+    makes that object's dense matrix on its first call; above, an
     operator holds O(n) memory only. Operators are cached, and their
     arrays are read-only, so repeated calls with equal arguments are
     cheap.
@@ -356,11 +397,11 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     y[i] = sum_k kernel[i-1-k] (f[k+1] - f[k]), which annihilates
     constant inputs bit-exactly; f(a) times ``op.correction`` is added
     where there is one. Up to n = 512 the product is with the dense
-    Toeplitz matrix, built on the first call and shared by the
-    operator's family; above, it is an FFT convolution with
-    ``op.kernel`` in O(n log n) time and O(n) memory. Rows listed in
-    ``op.unusable`` come back as NaN sentinels that downstream quadrature
-    replaces (see quad_trapezoid).
+    Toeplitz matrix, built on the first call and kept by the Toeplitz
+    object that the operator's family shares; above, it is an FFT
+    convolution with ``op.kernel`` in O(n log n) time and O(n) memory.
+    Rows listed in ``op.unusable`` come back as NaN sentinels that
+    downstream quadrature replaces (see quad_trapezoid).
     """
     if f.grid != op.grid:
         raise GridMismatchError(
@@ -372,10 +413,8 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     v = f.values if left else np.ascontiguousarray(f.values[::-1])
     n = op.grid.n
     y = np.zeros(n + 1)
-    if n <= _DIRECT_MAX:
-        y[1:] = op._left_matrix @ np.diff(v)
-    else:
-        y[1:] = _toeplitz_product(op.kernel, np.diff(v), n)
+    T = op._toeplitz
+    y[1:] = (T.dense if n <= _DIRECT_MAX else T) @ np.diff(v)
     if op.correction is not None:
         y = y + v[0] * op.correction
     if not left:

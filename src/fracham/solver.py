@@ -10,7 +10,9 @@ Row 0 of the left-Caputo operator and g(0) vanish, so the discrete J is
 ||S (T d - r)||^2 over the first differences d of q, sum(d) = q(1) - q(0),
 with T the Toeplitz matrix of the operator's kernel, S^2 the trapezoid
 weights and r = g, without node 0; it is minimized in closed form by
-convolutions. Minimality against any trial is an independent check.
+products with T, its transpose and its inverse, all of which the
+operator's Toeplitz object in fracnum supplies. Minimality against any
+trial is an independent check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .fracnum import (
     OperatorKind,
     SampledFn,
     _subintervals,
-    _toeplitz_product,
     as_order,
     build_operator,
     gamma,
@@ -146,17 +147,6 @@ def example_lagrangian(alpha, beta: float) -> LagrangianSpec:
     )
 
 
-def _series_reciprocal(k: np.ndarray) -> np.ndarray:
-    """Column of T^-1 for the lower-triangular Toeplitz T of ``k``: the power
-    series 1 / k(x) to k.size terms, by Newton doubling c <- c (2 - k c)."""
-    c = np.array([1.0 / k[0]])
-    while c.size < k.size:
-        # k c = 1 + x^c.size r, so c (2 - k c) appends the terms of -c r
-        r = _toeplitz_product(k[: 2 * c.size], c, 2 * c.size)[c.size :]
-        c = np.concatenate((c, -_toeplitz_product(c, r, min(c.size, k.size - c.size))))
-    return c
-
-
 def _rayleigh(op, x: np.ndarray) -> float:
     """Rayleigh quotient of SPD ``op`` after 8 power steps from x; inside the spectrum."""
     for _ in range(8):
@@ -175,22 +165,21 @@ def solve(problem: ExampleProblem) -> SolveReport:
     interior residual maxima of the report ``equivalence_gap`` gives for q.
     """
     grid, n = problem.grid, problem.grid.n
-    k = build_operator(OperatorKind.CAPUTO_LEFT, problem.alpha, grid).kernel
-    kinv = _series_reciprocal(k)
+    T = build_operator(OperatorKind.CAPUTO_LEFT, problem.alpha, grid)._toeplitz
+    T_inv = T.inverse()
     s2 = trapezoid_weights(grid)[1:]
 
-    def normal_inverse(y):  # (T^T S^2 T)^-1 y; T^T is T conjugated by index reversal
-        return _toeplitz_product(kinv, _toeplitz_product(kinv, y[::-1], n)[::-1] / s2, n)
+    def normal_inverse(y):  # (T^T S^2 T)^-1 y
+        return T_inv @ (T_inv.transpose(y) / s2)
 
     v = normal_inverse(np.ones(n))
-    d0 = _toeplitz_product(kinv, target_velocity(problem)[1:], n)
+    d0 = T_inv @ target_velocity(problem)[1:]
     d = d0 + v * ((problem.q_right - problem.q_left - d0.sum()) / v.sum())
 
     # the gate estimates cond(M) of the interior system M = P^T T^T S^2 T P,
     # where P x is the first differences of [0, x, 0]
     def m(x):
-        y = s2 * _toeplitz_product(k, np.diff(x, prepend=0.0, append=0.0), n)
-        return -np.diff(_toeplitz_product(k, y[::-1], n)[::-1])
+        return -np.diff(T.transpose(s2 * (T @ np.diff(x, prepend=0.0, append=0.0))))
 
     def m_inverse(b):  # solve P^T z = b, then (T^T S^2 T) d = z with sum(d) = 0
         u = normal_inverse(np.concatenate(([0.0], -np.cumsum(b))))

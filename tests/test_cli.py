@@ -220,6 +220,15 @@ class TestSolveExample:
         assert code == EXIT_THRESHOLD
         assert summary_fields(out)  # table still emitted
 
+    @pytest.mark.parametrize("threshold", ["nan", "0", "-1"])
+    def test_threshold_must_be_positive(self, threshold):
+        # no l2_err is below such a threshold, so it is a usage error
+        code, out, err = run_cli("solve-example", "--alpha", "0.5", "--beta", "0.75",
+                                 "--n", "64", "--l2-threshold", threshold)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: --l2-threshold") and err.count("\n") == 1
+
 
 class TestCheckEquivalence:
     @pytest.mark.parametrize("trial", ["exact", "linear"])

@@ -110,24 +110,25 @@ class TestMatrixStructure:
         ops = [build_operator(kind, 0.29, g) for kind in family]
         for op in reversed(ops):
             apply(op, f)
-        left = ops[0]._left_matrix
-        assert all(np.shares_memory(left, op._left_matrix) for op in ops[1:])
+        left = ops[0]._toeplitz.dense
+        assert all(np.shares_memory(left, op._toeplitz.dense) for op in ops[1:])
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_used_operator_keeps_no_nodal_matrix(self, kind):
         # the nodal matrix is derived from the generator and not kept; up to
-        # n = 512 apply keeps only the Toeplitz matrix, n x n for derivative
-        # kinds and shared by a family
+        # n = 512 apply keeps only the Toeplitz matrix, n x n, in the
+        # Toeplitz object that the operator's family shares
         n = 512
         fracnum._build.cache_clear()
         try:
             op = build_operator(kind, 0.5, Grid(0.0, 1.0, n))
             assert nodal_matrix(op).shape == (n + 1, n + 1)
             apply(op, SampledFn(op.grid, np.ones(n + 1)))
-            dense = [v for v in vars(op).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+            held = vars(op._toeplitz).values()
+            dense = [v for v in held if isinstance(v, np.ndarray) and v.ndim == 2]
             if kind.is_integral:
                 assert len(dense) == 1 and np.shares_memory(
-                    dense[0], build_operator(K.INT_LEFT, 0.5, op.grid)._left_matrix
+                    dense[0], build_operator(K.INT_LEFT, 0.5, op.grid)._toeplitz.dense
                 )
             else:
                 assert [v.shape for v in dense] == [(n, n)]
@@ -161,6 +162,33 @@ class TestMatrixStructure:
         T = fracnum._lower_toeplitz(kernel)
         err = np.abs(fracnum._toeplitz_product(kernel, d, n) - T @ d)
         assert np.max(err) <= 1e-14 * np.max(np.abs(T) @ np.abs(d))
+
+    @pytest.mark.parametrize("order", [0.01, 0.5, 0.999])
+    @pytest.mark.parametrize("n", [64, 512, 513, 4096])
+    def test_toeplitz_type_matches_dense(self, n, order):
+        # product and transpose are bounded relative to |T| |v|, the scale of
+        # the terms summed; the inverse's column must solve T c = e_0
+        T = build_operator(K.CAPUTO_LEFT, order, grid01(n))._toeplitz
+        dense = fracnum._lower_toeplitz(T.col)
+        v = np.random.default_rng(n).standard_normal(n)
+        assert np.max(np.abs(T @ v - dense @ v)) <= 1e-14 * np.max(np.abs(dense) @ np.abs(v))
+        err = np.abs(T.transpose(v) - dense.T @ v)
+        assert np.max(err) <= 1e-14 * np.max(np.abs(dense.T) @ np.abs(v))
+        T_inv = T.inverse()
+        assert isinstance(T_inv, fracnum._Toeplitz)
+        assert np.max(np.abs(dense @ T_inv.col - np.eye(1, n)[0])) <= 1e-12
+        assert np.linalg.norm(T_inv @ (T @ v) - v) <= 1e-12 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize(
+        "family", [DERIVATIVE_KINDS, [K.INT_LEFT, K.INT_RIGHT]], ids=["derivative", "integral"]
+    )
+    def test_family_computes_one_kernel(self, family):
+        fracnum._build.cache_clear()
+        try:
+            ops = [build_operator(kind, 0.29, grid01(33)) for kind in family]
+            assert len({id(op.kernel) for op in ops}) == 1
+        finally:
+            fracnum._build.cache_clear()
 
     def test_caputo_row_sums_vanish(self):
         # constants must be annihilated: every row of the nodal matrix sums to ~0

@@ -103,6 +103,11 @@ class TestRitzSystem:
         estimate = float(re.search(r"condition estimate ([^)]+)\)", str(exc.value))[1])
         assert estimate == pytest.approx(ev[-1] / ev[0], rel=0.02)
 
+    def test_solver_leaves_toeplitz_algebra_to_fracnum(self):
+        # products, transposes and the inverse belong to fracnum's Toeplitz type
+        assert not hasattr(fracham.solver, "_toeplitz_product")
+        assert not hasattr(fracham.solver, "_series_reciprocal")
+
     def test_nan_condition_estimate_fails_the_gate(self, monkeypatch):
         monkeypatch.setattr(fracham.solver, "_rayleigh", lambda op, x: np.nan)
         with pytest.raises(SingularSystemError, match="estimate nan"):

@@ -71,7 +71,8 @@ def _table(header: str, rows) -> list[str]:
     digits, a non-finite one printed empty. Rows hold Python numbers, as
     ``.tolist()`` gives them: math.isfinite on those is several times
     cheaper than np.isfinite on numpy scalars."""
-    return [header, *(",".join(_fmt(x) if math.isfinite(x) else "" for x in row) for row in rows)]
+    rows = (",".join(_fmt(x) if math.isfinite(x) else "" for x in row) for row in rows)
+    return [header, *rows]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +174,8 @@ def _run_deriv(args) -> tuple[list[str], int]:
             EXIT_DOMAIN, f"function is not finite at node t = {grid.nodes[i]:g}"
         )
     result = apply(op, SampledFn(grid, values))
-    return _table("t,value", zip(grid.nodes.tolist(), result.values.tolist())), EXIT_OK
+    rows = zip(grid.nodes.tolist(), result.values.tolist())
+    return _table("t,value", rows), EXIT_OK
 
 
 def _example_problem(args) -> ExampleProblem:
@@ -227,15 +229,11 @@ def _run_converge(args) -> tuple[list[str], int]:
     if len(n_list) < 2:
         raise CliError(EXIT_USAGE, "--n-list needs at least 2 entries")
 
-    monotone = True
     try:
-        rows = convergence_study(args.alpha, args.beta, n_list)
+        rows, code = convergence_study(args.alpha, args.beta, n_list), EXIT_OK
     except ConvergenceError as exc:
-        rows = exc.rows
-        monotone = False
-
-    lines = _table("n,max_err,l2_err,el_max,hamilton_max", map(astuple, rows))
-    return lines, EXIT_OK if monotone else EXIT_THRESHOLD
+        rows, code = exc.rows, EXIT_THRESHOLD
+    return _table("n,max_err,l2_err,el_max,hamilton_max", map(astuple, rows)), code
 
 
 # ---------------------------------------------------------------------------

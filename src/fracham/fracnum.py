@@ -253,6 +253,11 @@ class FracOperator:
     singular; only the Riemann-Liouville kinds have one (row 0 on the
     left, row n on the right). No n x n array is held above n = 512,
     where ``apply`` convolves with ``kernel`` by FFT.
+
+    Make operators with ``build_operator`` only: the fourth field is the
+    private Toeplitz object, not the kernel array, and ``kernel`` is a
+    read-only property, so neither the constructor nor
+    ``dataclasses.replace`` accepts a ``kernel`` argument.
     """
 
     kind: OperatorKind

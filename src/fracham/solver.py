@@ -179,7 +179,8 @@ def solve(problem: ExampleProblem) -> SolveReport:
     # the gate estimates cond(M) of the interior system M = P^T T^T S^2 T P,
     # where P x is the first differences of [0, x, 0]
     def m(x):
-        return -np.diff(T.transpose(s2 * (T @ np.diff(x, prepend=0.0, append=0.0))))
+        y = s2 * (T @ np.diff(x, prepend=0.0, append=0.0))
+        return -np.diff(T.transpose(y))
 
     def m_inverse(b):  # solve P^T z = b, then (T^T S^2 T) d = z with sum(d) = 0
         u = normal_inverse(np.concatenate(([0.0], -np.cumsum(b))))

@@ -98,8 +98,8 @@ class TestMatrixStructure:
         # building is O(n); a dense T would be 134 MB at this size
         fracnum._build.cache_clear()
         op = build_operator(kind, 0.5, Grid(0.0, 1.0, 4096))
-        held = sum(v.nbytes for v in vars(op).values() if isinstance(v, np.ndarray))
-        assert held < 1_000_000
+        held = [*vars(op).values(), *vars(op._toeplitz).values()]
+        assert sum(v.nbytes for v in held if isinstance(v, np.ndarray)) < 1_000_000
 
     @pytest.mark.parametrize(
         "family", [DERIVATIVE_KINDS, [K.INT_LEFT, K.INT_RIGHT]], ids=["derivative", "integral"]
@@ -124,6 +124,7 @@ class TestMatrixStructure:
             op = build_operator(kind, 0.5, Grid(0.0, 1.0, n))
             assert nodal_matrix(op).shape == (n + 1, n + 1)
             apply(op, SampledFn(op.grid, np.ones(n + 1)))
+            assert not [v for v in vars(op).values() if isinstance(v, np.ndarray) and v.ndim == 2]
             held = vars(op._toeplitz).values()
             dense = [v for v in held if isinstance(v, np.ndarray) and v.ndim == 2]
             if kind.is_integral:
@@ -146,7 +147,8 @@ class TestMatrixStructure:
         try:
             op = build_operator(kind, 0.5, Grid(0.0, 1.0, 4096))
             apply(op, SampledFn(op.grid, np.sin(op.grid.nodes)))
-            assert not [v for v in vars(op).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+            held = [*vars(op).values(), *vars(op._toeplitz).values()]
+            assert not [v for v in held if isinstance(v, np.ndarray) and v.ndim == 2]
         finally:
             fracnum._build.cache_clear()
 

@@ -21,8 +21,10 @@ column and the endpoint column. One private type holds T as its column
 and owns every product with T, its transpose and its inverse (the
 Ritz solver uses all three); all kinds of one family at one (order,
 grid) share one such object. Up to n = 512 ``apply`` multiplies by the
-dense T that the object makes and keeps; above, by an FFT convolution
-that forms no n x n array.
+dense T that the object makes on first use; the dense T of all objects
+are kept within a 4 MB budget, least recently used dropped first and
+made again on demand. Above, it multiplies by an FFT convolution that
+forms no n x n array and reuses the kernel's FFT, which the object keeps.
 Left kinds only look backward (rows are lower triangular), right kinds
 only forward.
 The Riemann-Liouville kinds are singular at their anchored endpoint
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
@@ -118,7 +121,7 @@ def _subintervals(n) -> int:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform partition of [a, b] into n subintervals (n + 1 nodes)."""
+    """Uniform partition of [a, b] into n subintervals (n + 1 distinct nodes)."""
 
     a: float
     b: float
@@ -134,6 +137,9 @@ class Grid:
             raise ValueError(f"need b > a, got [{self.a:g}, {self.b:g}]")
         if self.n < 2:
             raise ValueError(f"need at least 2 subintervals, got n = {self.n}")
+        if not (np.diff(self.nodes) > 0.0).all():
+            raise ValueError(f"[{self.a:.17g}, {self.b:.17g}] is too narrow for "
+                             f"{self.n + 1} distinct nodes")
 
     @property
     def h(self) -> float:
@@ -290,15 +296,29 @@ def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
 # this length the direct product is the faster one
 _DIRECT_MAX = 512
 
+# bytes of dense T kept over all Toeplitz objects: two at n = 512, eight at 256.
+# _dense_held maps each holder to its bytes, least recently used first; past
+# the budget that one is dropped, to be rebuilt on its next use. Its keys are
+# weak, so an object that the operator cache lets go is freed with its T
+_DENSE_BYTES = 4 << 20
+_dense_held: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-def _toeplitz_product(kernel: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+
+def _fft_size(m: int) -> int:
+    return 1 << (2 * m - 2).bit_length()  # a power of two >= 2m - 1: no wrap-around
+
+
+def _toeplitz_product(kernel: np.ndarray, v: np.ndarray, m: int, spectrum=None) -> np.ndarray:
     """First m terms of the convolution kernel * v: the m x m lower-triangular
     Toeplitz matrix with first column kernel[:m] times v[:m], either one
-    zero-padded to m terms. Direct up to _DIRECT_MAX terms, FFT above."""
+    zero-padded to m terms. Direct up to _DIRECT_MAX terms, FFT above, where
+    ``spectrum``, if given, is rfft(kernel[:m], _fft_size(m))."""
     if m <= _DIRECT_MAX:
         return np.convolve(kernel, v)[:m]
-    size = 1 << (2 * m - 2).bit_length()  # a power of two >= 2m - 1: no wrap-around
-    return np.fft.irfft(np.fft.rfft(kernel[:m], size) * np.fft.rfft(v[:m], size), size)[:m]
+    size = _fft_size(m)
+    if spectrum is None:
+        spectrum = np.fft.rfft(kernel[:m], size)
+    return np.fft.irfft(spectrum * np.fft.rfft(v[:m], size), size)[:m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,22 +326,42 @@ class _Toeplitz:
     """The n x n lower-triangular Toeplitz matrix T with first column ``col``.
 
     Every product with T, with its transpose or with its inverse goes
-    through _toeplitz_product; ``dense`` is T itself, made on first use
-    and kept, which ``apply`` multiplies up to n = _DIRECT_MAX.
+    through _toeplitz_product. Above n = _DIRECT_MAX the products share
+    ``spectrum``, the FFT of ``col``, made on first use and kept. ``dense``
+    is T itself, which ``apply`` multiplies up to n = _DIRECT_MAX: made on
+    first use and kept while the dense T of all objects fit in
+    _DENSE_BYTES; past that, the least recently used one is deleted and
+    made again, bit for bit, on its next use.
     """
 
     col: np.ndarray
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return _toeplitz_product(self.col, v, self.col.size)
+        m = self.col.size
+        return _toeplitz_product(self.col, v, m, self.spectrum if m > _DIRECT_MAX else None)
 
     def transpose(self, v: np.ndarray) -> np.ndarray:
         """T^T v: T^T is T conjugated by index reversal."""
-        return _toeplitz_product(self.col, v[::-1], self.col.size)[::-1]
+        return (self @ v[::-1])[::-1]
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return _freeze(np.fft.rfft(self.col, _fft_size(self.col.size)))
 
     @cached_property
     def dense(self) -> np.ndarray:
-        return _freeze(_lower_toeplitz(self.col))
+        dense = _freeze(_lower_toeplitz(self.col))
+        while _dense_held and dense.nbytes + sum(_dense_held.values()) > _DENSE_BYTES:
+            old = next(iter(_dense_held))  # the least recently used
+            del _dense_held[old], old.__dict__["dense"]
+        _dense_held[self] = dense.nbytes
+        return dense
+
+    def recent_dense(self) -> np.ndarray:
+        """``dense``, marked as the most recently used."""
+        dense = self.dense
+        _dense_held[self] = _dense_held.pop(self)
+        return dense
 
     def inverse(self) -> "_Toeplitz":
         """T^-1, whose column is the power series 1 / col(x) to col.size
@@ -381,10 +421,11 @@ def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
     memory. All kinds of one family (the four derivative kinds, or the
     two integral kinds) at one (order, grid) share one Toeplitz object,
     so the kernel is computed once per family. Up to n = 512 ``apply``
-    makes that object's dense matrix on its first call; above, an
-    operator holds O(n) memory only. Operators are cached, and their
-    arrays are read-only, so repeated calls with equal arguments are
-    cheap.
+    makes that object's dense matrix on its first call and keeps it
+    while it is among the most recently used that fit the 4 MB budget;
+    above, an operator holds O(n) memory only, the kernel's FFT
+    included. Operators are cached, and their arrays are read-only, so
+    repeated calls with equal arguments are cheap.
     """
     if not isinstance(kind, OperatorKind):
         raise TypeError(f"kind must be an OperatorKind, got {kind!r}")
@@ -402,24 +443,31 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     y[i] = sum_k kernel[i-1-k] (f[k+1] - f[k]), which annihilates
     constant inputs bit-exactly; f(a) times ``op.correction`` is added
     where there is one. Up to n = 512 the product is with the dense
-    Toeplitz matrix, built on the first call and kept by the Toeplitz
-    object that the operator's family shares; above, it is an FFT
-    convolution with ``op.kernel`` in O(n log n) time and O(n) memory.
-    Rows listed in ``op.unusable`` come back as NaN sentinels that
-    downstream quadrature replaces (see quad_trapezoid).
+    Toeplitz matrix of the Toeplitz object that the operator's family
+    shares, built on first use and kept within a 4 MB budget over all
+    such objects (the least recently used is dropped and built again,
+    bit for bit, when next needed); above, it is an FFT convolution
+    with ``op.kernel``, whose transform the object keeps, in O(n log n)
+    time and O(n) memory. Rows listed in ``op.unusable`` come back as
+    NaN sentinels that downstream quadrature replaces (see
+    quad_trapezoid). An input with NaN at node 0 or n, where such a
+    sentinel sits, raises DomainError naming the node.
     """
     if f.grid != op.grid:
         raise GridMismatchError(
             f"operator grid [{op.grid.a:g}, {op.grid.b:g}] n={op.grid.n} does not "
             f"match sample grid [{f.grid.a:g}, {f.grid.b:g}] n={f.grid.n}"
         )
+    n = op.grid.n
+    for i in (0, n):  # the only rows where an operator leaves a NaN sentinel
+        if math.isnan(f.values[i]):
+            raise DomainError(f"input is NaN at node {i}, an operator's unusable row")
     left = op.kind.is_left
     # contiguous reversal keeps the BLAS path identical to a left apply
     v = f.values if left else np.ascontiguousarray(f.values[::-1])
-    n = op.grid.n
     y = np.zeros(n + 1)
     T = op._toeplitz
-    y[1:] = (T.dense if n <= _DIRECT_MAX else T) @ np.diff(v)
+    y[1:] = (T.recent_dense() if n <= _DIRECT_MAX else T) @ np.diff(v)
     if op.correction is not None:
         y = y + v[0] * op.correction
     if not left:
@@ -464,22 +512,16 @@ def trapezoid_weights(grid: Grid) -> np.ndarray:
 def quad_trapezoid(f: SampledFn) -> float:
     """Trapezoid quadrature of nodal values.
 
-    NaN sentinels at the endpoints (from unusable Riemann-Liouville
-    rows) are replaced by the nearest finite value before summing, so
-    the quadrature error they add is O(h). NaN at an interior node is
+    NaN sentinels at node 0 or n (from unusable Riemann-Liouville
+    rows) are replaced by the neighbouring value before summing, so
+    the quadrature error they add is O(h). NaN at any other node is
     an error.
     """
     v = np.array(f.values)
-    finite = np.isfinite(v)
-    if not finite.all():
-        idx = np.flatnonzero(finite)
-        if idx.size == 0:
-            raise ValueError("no finite nodal values to integrate")
-        for i in np.flatnonzero(~finite):
-            if i < idx[0]:
-                v[i] = v[idx[0]]
-            elif i > idx[-1]:
-                v[i] = v[idx[-1]]
-            else:
-                raise ValueError(f"non-finite value at interior node {i}")
+    interior = np.flatnonzero(~np.isfinite(v[1:-1]))
+    if interior.size:
+        raise ValueError(f"non-finite value at interior node {interior[0] + 1}")
+    for end, near in ((0, 1), (-1, -2)):
+        if not math.isfinite(v[end]):
+            v[end] = v[near]
     return float(np.sum(trapezoid_weights(f.grid) * v))

@@ -148,8 +148,8 @@ def example_lagrangian(alpha, beta: float) -> LagrangianSpec:
 
 
 def _rayleigh(op, x: np.ndarray) -> float:
-    """Rayleigh quotient of SPD ``op`` after 8 power steps from x; inside the spectrum."""
-    for _ in range(8):
+    """Rayleigh quotient of SPD ``op`` after 3 power steps from x; inside the spectrum."""
+    for _ in range(3):
         x = op(x)
         x /= np.linalg.norm(x)
     return float(x @ op(x))

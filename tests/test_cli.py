@@ -378,10 +378,13 @@ class TestParameterChecks:
         ["deriv", "--kind", "caputo-left", "--alpha", "0.5", "--fn", "1", "--interval", "0:inf"],
         ["deriv", "--kind", "caputo-left", "--alpha", "0.5", "--fn", "1",
          "--interval=-1e308:1e308"],
+        ["deriv", "--kind", "caputo-left", "--alpha", "0.5", "--fn", "t",
+         "--interval", "1e16:1.0000000000000002e16", "--n", "4"],
     ], ids=["converge-alpha-ge-beta", "converge-decreasing", "converge-entry-below-8",
             "converge-alpha-one", "converge-alpha-zero", "deriv-reversed-interval",
             "deriv-empty-interval", "deriv-order-one", "deriv-negative-order",
-            "deriv-infinite-interval", "deriv-overflowing-interval"])
+            "deriv-infinite-interval", "deriv-overflowing-interval",
+            "deriv-interval-too-narrow-for-distinct-nodes"])
     def test_exits_2_with_no_output(self, argv):
         code, out, err = run_cli(*argv)
         assert code == EXIT_USAGE

@@ -149,8 +149,49 @@ class TestMatrixStructure:
             apply(op, SampledFn(op.grid, np.sin(op.grid.nodes)))
             held = [*vars(op).values(), *vars(op._toeplitz).values()]
             assert not [v for v in held if isinstance(v, np.ndarray) and v.ndim == 2]
+            # the kernel's FFT is kept, O(n), once per Toeplitz object
+            spectra = [v for v in vars(op._toeplitz).values()
+                       if isinstance(v, np.ndarray) and np.iscomplexobj(v)]
+            assert [v.ndim for v in spectra] == [1]
         finally:
             fracnum._build.cache_clear()
+
+    def test_kernel_is_transformed_once(self, monkeypatch):
+        # above n = 512 every product with T, or with its transpose, reuses
+        # the one FFT of the kernel that the Toeplitz object keeps
+        T = build_operator(K.CAPUTO_LEFT, 0.37, grid01(4096))._toeplitz
+        v = np.random.default_rng(0).standard_normal(4096)
+        first = T @ v
+        calls = []
+        rfft = np.fft.rfft
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shares_memory(a, T.col))
+            return rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting)
+        assert np.array_equal(T @ v, first)
+        T.transpose(v)
+        assert calls == [False, False]  # the two transforms of v alone
+
+    def test_evicted_dense_matrix_is_rebuilt_bit_for_bit(self):
+        # three dense T at n = 512 take 6 MB, over the 4 MB budget: the least
+        # recently used one is dropped, and its next apply makes it again
+        g = grid01(512)
+        assert 2 * 8 * 512**2 <= fracnum._DENSE_BYTES < 3 * 8 * 512**2
+        f = SampledFn(g, np.sin(3.0 * g.nodes))
+        a, b, c = (build_operator(K.CAPUTO_LEFT, order, g) for order in (0.311, 0.412, 0.513))
+        before = apply(a, f).values
+        dense = a._toeplitz.dense.copy()
+        apply(b, f)
+        apply(a, f)  # now b is the least recently used
+        apply(c, f)
+        assert "dense" in vars(a._toeplitz) and "dense" in vars(c._toeplitz)
+        assert "dense" not in vars(b._toeplitz)
+        apply(b, f)
+        assert "dense" not in vars(a._toeplitz)
+        assert apply(a, f).values.tobytes() == before.tobytes()
+        assert a._toeplitz.dense.tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("order", [0.01, 0.5, 0.999])
     @pytest.mark.parametrize("n", [513, 1024, 4096])
@@ -468,6 +509,16 @@ class TestProperties:
         with pytest.raises(GridMismatchError):
             apply(op, f)
 
+    @pytest.mark.parametrize("inner,row", [(K.RL_LEFT, 0), (K.RL_RIGHT, 8)])
+    @pytest.mark.parametrize("outer", ALL_KINDS)
+    def test_sentinel_input_is_rejected(self, inner, row, outer):
+        # an operator's NaN sentinel must not spread through a second operator
+        g = grid01(8)
+        f = apply(build_operator(inner, 0.5, g), SampledFn(g, g.nodes + 1.0))
+        assert np.isnan(f.values[row])
+        with pytest.raises(DomainError, match=f"NaN at node {row}"):
+            apply(build_operator(outer, 0.5, g), f)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_integration_by_parts_defect_shrinks(self, alpha):
         # <f, D_caputo_left g> ~ <g, D_rl_right f> for g vanishing at both ends
@@ -535,6 +586,15 @@ class TestQuadTrapezoid:
             out = apply(build_operator(K.RL_LEFT, 0.5, g), SampledFn(g, np.ones(n + 1)))
             errs.append(abs(quad_trapezoid(out) - exact))
         assert errs[0] > errs[1] > errs[2]
+
+    def test_trailing_nans_are_not_endpoint_sentinels(self):
+        # only node n can hold a right-end sentinel; NaN at nodes 1 .. n - 1
+        # is interior however many follow it
+        g = grid01(8)
+        v = np.full(9, np.nan)
+        v[0] = 0.0
+        with pytest.raises(ValueError, match="interior node 1"):
+            quad_trapezoid(SampledFn(g, v, allow_sentinels=True))
 
     def test_interior_nan_rejected(self):
         g = grid01(4)

@@ -1,3 +1,4 @@
+import gc
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -167,6 +168,30 @@ class TestRitzSystem:
         assert gap <= 1e-10
         assert rep.l2_err < solve(problem(2**12)).l2_err
 
+    def test_fresh_orders_keep_dense_matrices_within_budget(self):
+        # each solve at n = 512 makes one 2 MB dense T for its residual
+        # evaluation; the operator cache keeps 128 operators, but the dense
+        # T they hold stay within the byte budget. What else the solves
+        # leave behind is O(n) per cached operator, well under 1 MB
+        budget = fracnum._DENSE_BYTES
+        solve(problem(64))  # loads what a first solve loads once per process
+        fracnum._build.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            held = []
+            for i in range(200):
+                alpha = 0.05 + 0.9 * ((i * 0.6180339887498949) % 1.0)
+                solve(problem(512, alpha=alpha, beta=(1.0 + alpha) / 2.0))
+                held.append(tracemalloc.get_traced_memory()[0] - base)
+        finally:
+            tracemalloc.stop()
+        dense = [vars(o).get("dense") for o in gc.get_objects()
+                 if isinstance(o, fracnum._Toeplitz)]
+        fracnum._build.cache_clear()
+        assert sum(d.nbytes for d in dense if d is not None) <= budget
+        assert max(held) <= budget + (1 << 20)
+
 
 class TestSolve:
     def test_recovers_weakly_singular_minimizer(self, report_075_n1024):
@@ -291,7 +316,7 @@ class TestConvergenceStudy:
         try:
             rows = convergence_study(alpha, beta, [256, 512, 1024, 2048, 4096])
         finally:
-            fracnum._build.cache_clear()  # the cache would keep the dense T of n <= 512
+            fracnum._build.cache_clear()  # frees the operators this study built
         measured = np.log2(rows[-2].l2_err / rows[-1].l2_err)
         assert measured >= order - RATE_MARGIN
 

@@ -44,6 +44,16 @@ class TestGrid:
         with pytest.raises(ValueError, match="finite interval"):
             Grid(a, b, 4)
 
+    @pytest.mark.parametrize("a,b", [(1e16, 1e16 + 2.0), (1.0, 1.0 + 4.4e-16)])
+    def test_rejects_interval_too_narrow_for_distinct_nodes(self, a, b):
+        # h is positive, but rounding puts several of the 5 nodes on one float
+        with pytest.raises(ValueError, match="too narrow for 5 distinct nodes"):
+            Grid(a, b, 4)
+
+    def test_accepts_narrow_interval_with_distinct_nodes(self):
+        g = Grid(1.0, 1.0 + 1e-13, 4)
+        assert np.all(np.diff(g.nodes) > 0)
+
     def test_value_equality_and_hash(self):
         assert Grid(0, 1, 8) == Grid(0.0, 1.0, 8)
         assert hash(Grid(0, 1, 8)) == hash(Grid(0.0, 1.0, 8))

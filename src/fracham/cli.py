@@ -167,13 +167,12 @@ def _run_deriv(args) -> tuple[list[str], int]:
     # building first rejects a bad order before the function is sampled
     op = build_operator(kind, args.alpha, grid)
     with np.errstate(all="ignore"):
-        values = np.asarray(fn(grid.nodes), dtype=float)
-    if not np.isfinite(values).all():
-        i = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise CliError(
-            EXIT_DOMAIN, f"function is not finite at node t = {grid.nodes[i]:g}"
-        )
-    result = apply(op, SampledFn(grid, values))
+        values = fn(grid.nodes)
+    try:
+        f = SampledFn(grid, values)
+    except ValueError as exc:  # a value that is not finite: outside the function's domain
+        raise CliError(EXIT_DOMAIN, f"function {exc}")
+    result = apply(op, f)
     rows = zip(grid.nodes.tolist(), result.values.tolist())
     return _table("t,value", rows), EXIT_OK
 

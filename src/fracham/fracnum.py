@@ -180,9 +180,15 @@ def as_order(x) -> FractionalOrder:
 class SampledFn:
     """Real nodal values of a function on a grid.
 
-    Values must be finite. Operator outputs may carry NaN sentinels in
-    rows flagged unusable; those are produced internally with
-    ``allow_sentinels=True`` and never contain infinities.
+    The one place that checks nodal values for NaN and infinity. Values
+    must be finite. With ``allow_sentinels=True``, as operator outputs
+    and residuals are made, node 0 and node n may also be NaN: the only
+    rows an operator flags unusable (see ``FracOperator.unusable``).
+    Infinity is rejected everywhere, and so is NaN at nodes 1 .. n - 1,
+    with a ValueError naming the node and its t. Downstream code relies
+    on this and does not scan again: the quadrature and the variational
+    norms fill or skip rows 0 and n only, and ``apply`` checks only those
+    two rows of its input.
     """
 
     grid: Grid
@@ -195,12 +201,14 @@ class SampledFn:
             raise ValueError(
                 f"expected {self.grid.n + 1} nodal values, got shape {v.shape}"
             )
-        if allow_sentinels:
-            if np.isinf(v).any():
-                raise ValueError("infinite nodal value")
-        elif not np.isfinite(v).all():
-            bad = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise ValueError(f"non-finite nodal value at node {bad}")
+        # one vectorised pass over the interior and two scalar end checks:
+        # every apply makes one of these, so the check is on the hot path
+        end_ok = (lambda x: not math.isinf(x)) if allow_sentinels else math.isfinite
+        if not (np.isfinite(v[1:-1]).all() and end_ok(v[0]) and end_ok(v[-1])):
+            bad = ~np.isfinite(v)
+            bad[[0, -1]] = [not end_ok(v[0]), not end_ok(v[-1])]
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(f"value {v[i]:g} at node {i} (t = {self.grid.nodes[i]:g}) is not finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -297,9 +305,10 @@ def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
 _DIRECT_MAX = 512
 
 # bytes of dense T kept over all Toeplitz objects: two at n = 512, eight at 256.
-# _dense_held maps each holder to its bytes, least recently used first; past
-# the budget that one is dropped, to be rebuilt on its next use. Its keys are
-# weak, so an object that the operator cache lets go is freed with its T
+# _dense_held maps each Toeplitz object to its dense T, least recently used
+# first; past the budget that one is dropped, to be rebuilt on its next use.
+# Its keys are weak, so an object that the operator cache lets go is freed
+# with its T
 _DENSE_BYTES = 4 << 20
 _dense_held: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -327,11 +336,12 @@ class _Toeplitz:
 
     Every product with T, with its transpose or with its inverse goes
     through _toeplitz_product. Above n = _DIRECT_MAX the products share
-    ``spectrum``, the FFT of ``col``, made on first use and kept. ``dense``
-    is T itself, which ``apply`` multiplies up to n = _DIRECT_MAX: made on
-    first use and kept while the dense T of all objects fit in
-    _DENSE_BYTES; past that, the least recently used one is deleted and
-    made again, bit for bit, on its next use.
+    ``spectrum``, the FFT of ``col``, made on first use and kept. ``dense()``
+    returns T itself, which ``apply`` multiplies up to n = _DIRECT_MAX. The
+    object does not hold it: the module's _dense_held registry does, while
+    the dense T of all objects fit in _DENSE_BYTES; past that, the least
+    recently used one is dropped and made again, bit for bit, on its next
+    use.
     """
 
     col: np.ndarray
@@ -348,19 +358,15 @@ class _Toeplitz:
     def spectrum(self) -> np.ndarray:
         return _freeze(np.fft.rfft(self.col, _fft_size(self.col.size)))
 
-    @cached_property
     def dense(self) -> np.ndarray:
-        dense = _freeze(_lower_toeplitz(self.col))
-        while _dense_held and dense.nbytes + sum(_dense_held.values()) > _DENSE_BYTES:
-            old = next(iter(_dense_held))  # the least recently used
-            del _dense_held[old], old.__dict__["dense"]
-        _dense_held[self] = dense.nbytes
-        return dense
-
-    def recent_dense(self) -> np.ndarray:
-        """``dense``, marked as the most recently used."""
-        dense = self.dense
-        _dense_held[self] = _dense_held.pop(self)
+        """T as an n x n array, marked as the most recently used dense T."""
+        dense = _dense_held.pop(self, None)
+        if dense is None:
+            dense = _freeze(_lower_toeplitz(self.col))
+            while _dense_held and (
+                    dense.nbytes + sum(d.nbytes for d in _dense_held.values()) > _DENSE_BYTES):
+                del _dense_held[next(iter(_dense_held))]  # the least recently used
+        _dense_held[self] = dense
         return dense
 
     def inverse(self) -> "_Toeplitz":
@@ -450,8 +456,10 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     with ``op.kernel``, whose transform the object keeps, in O(n log n)
     time and O(n) memory. Rows listed in ``op.unusable`` come back as
     NaN sentinels that downstream quadrature replaces (see
-    quad_trapezoid). An input with NaN at node 0 or n, where such a
-    sentinel sits, raises DomainError naming the node.
+    quad_trapezoid). ``SampledFn`` admits NaN only at node 0 or n, so
+    checking those two rows is enough to keep a NaN out of the product,
+    where it would spread to earlier rows: an input with NaN there, where
+    such a sentinel sits, raises DomainError naming the node.
     """
     if f.grid != op.grid:
         raise GridMismatchError(
@@ -467,7 +475,7 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     v = f.values if left else np.ascontiguousarray(f.values[::-1])
     y = np.zeros(n + 1)
     T = op._toeplitz
-    y[1:] = (T.recent_dense() if n <= _DIRECT_MAX else T) @ np.diff(v)
+    y[1:] = (T.dense() if n <= _DIRECT_MAX else T) @ np.diff(v)
     if op.correction is not None:
         y = y + v[0] * op.correction
     if not left:
@@ -514,14 +522,16 @@ def quad_trapezoid(f: SampledFn) -> float:
 
     NaN sentinels at node 0 or n (from unusable Riemann-Liouville
     rows) are replaced by the neighbouring value before summing, so
-    the quadrature error they add is O(h). NaN at any other node is
-    an error.
+    the quadrature error they add is O(h). ``SampledFn`` admits NaN
+    nowhere else and infinity nowhere, so every other value is finite.
+    A sum past the float range raises DomainError (numpy may warn of the
+    overflow first).
     """
     v = np.array(f.values)
-    interior = np.flatnonzero(~np.isfinite(v[1:-1]))
-    if interior.size:
-        raise ValueError(f"non-finite value at interior node {interior[0] + 1}")
     for end, near in ((0, 1), (-1, -2)):
-        if not math.isfinite(v[end]):
+        if math.isnan(v[end]):
             v[end] = v[near]
-    return float(np.sum(trapezoid_weights(f.grid) * v))
+    total = float(np.sum(trapezoid_weights(f.grid) * v))
+    if not math.isfinite(total):
+        raise DomainError(f"trapezoid sum is {total}: the integral is past the float range")
+    return total

@@ -29,13 +29,13 @@ import numpy as np
 
 from .fracnum import (
     FractionalOrder,
-    Grid,
     GridMismatchError,
     OperatorKind,
     SampledFn,
     apply,
     as_order,
     build_operator,
+    quad_trapezoid,
     trapezoid_weights,
 )
 
@@ -192,12 +192,7 @@ class _Evaluation:
         return self._call(self.spec.eval_L)
 
     def action(self) -> float:
-        t = self.q.grid.nodes
-        lv = self.lagrangian
-        if not np.isfinite(lv).all():
-            i = int(np.flatnonzero(~np.isfinite(lv))[0])
-            raise ValueError(f"Lagrangian is not finite at node {i} (t = {t[i]:g})")
-        return float(np.sum(trapezoid_weights(self.q.grid) * lv))
+        return quad_trapezoid(SampledFn(self.q.grid, self.lagrangian))
 
     @cached_property
     def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,16 +200,15 @@ class _Evaluation:
 
     def stationarity(self) -> ELReport:
         dq, ru, rv = self.terms
-        res = dq + ru + rv
-        max_abs, l2 = _weighted_norms(res, self.q.grid)
-        return ELReport(SampledFn(self.q.grid, res, allow_sentinels=True), max_abs, l2)
+        res = SampledFn(self.q.grid, dq + ru + rv, allow_sentinels=True)
+        return ELReport(res, *_weighted_norms(res))
 
     def equivalence(self) -> EquivalenceReport:
         el = self.stationarity()
         dq, ra, rb = self.terms
-        r_q = -dq - ra - rb
-        rq_max, rq_l2 = _weighted_norms(r_q, self.q.grid)
-        gap = float(np.max(np.abs(el.residual.values[1:-1] + r_q[1:-1])))
+        r_q = SampledFn(self.q.grid, -dq - ra - rb, allow_sentinels=True)
+        rq_max, rq_l2 = _weighted_norms(r_q)
+        gap = float(np.max(np.abs(el.residual.values[1:-1] + r_q.values[1:-1])))
         return EquivalenceReport(gap, el.max_abs, rq_max, el.l2, rq_l2)
 
 
@@ -226,14 +220,11 @@ def _residual_terms(spec: LagrangianSpec, args, p_alpha: SampledFn, p_beta: Samp
     return _field(spec.dL_dq(*args), g.n), ru.values, rv.values
 
 
-def _weighted_norms(res: np.ndarray, grid: Grid) -> tuple[float, float]:
-    # rows 0 and n hold the Riemann-Liouville sentinels; any other
-    # non-finite entry comes from the density and is an error
-    inner = res[1:-1]
-    if not np.isfinite(inner).all():
-        i = 1 + int(np.flatnonzero(~np.isfinite(inner))[0])
-        raise ValueError(f"residual is not finite at node {i} (t = {grid.nodes[i]:g})")
-    w = trapezoid_weights(grid)[1:-1]
+def _weighted_norms(res: SampledFn) -> tuple[float, float]:
+    # rows 0 and n hold the Riemann-Liouville sentinels; SampledFn has
+    # checked that the interior is finite
+    inner = res.values[1:-1]
+    w = trapezoid_weights(res.grid)[1:-1]
     return float(np.max(np.abs(inner))), float(np.sqrt(np.sum(w * inner**2)))
 
 
@@ -247,7 +238,8 @@ def el_residual(spec: LagrangianSpec, q: SampledFn) -> ELReport:
 
     The two Riemann-Liouville terms are singular at one endpoint each,
     so the residual carries NaN sentinels at both ends and the norms run
-    over the interior, where a non-finite entry raises ValueError.
+    over the interior. Any other non-finite entry raises ValueError
+    naming the node.
     """
     return _Evaluation(spec, q).stationarity()
 
@@ -302,7 +294,9 @@ def hamilton_residuals(
     using dH/dq = -dL/dq (the energy depends on q only through L once
     the momenta are held fixed). It adds the stationarity residual's terms,
     formed from the bundle's own velocities and momenta, so it equals
-    that residual negated whenever the momenta are consistent.
+    that residual negated whenever the momenta are consistent. Like that
+    residual it may be NaN at nodes 0 and n only; any other non-finite
+    entry raises ValueError naming the node.
     """
     q = bundle.q
     args = (q.grid.nodes, q.values, bundle.dL.values, bundle.dR.values)

@@ -186,10 +186,11 @@ class TestRitzSystem:
                 held.append(tracemalloc.get_traced_memory()[0] - base)
         finally:
             tracemalloc.stop()
-        dense = [vars(o).get("dense") for o in gc.get_objects()
+        dense = [fracnum._dense_held.get(o) for o in gc.get_objects()
                  if isinstance(o, fracnum._Toeplitz)]
         fracnum._build.cache_clear()
-        assert sum(d.nbytes for d in dense if d is not None) <= budget
+        kept = [d for d in dense if d is not None]
+        assert kept and sum(d.nbytes for d in kept) <= budget
         assert max(held) <= budget + (1 << 20)
 
 

@@ -110,6 +110,35 @@ class TestSampledFn:
         with pytest.raises(ValueError):
             SampledFn(g, v, allow_sentinels=True)
 
+    @pytest.mark.parametrize("node", [1, 3, 4, 7])
+    def test_sentinel_path_rejects_interior_nan_naming_node(self, node):
+        # a sentinel marks an operator's unusable row, and only rows 0 and n
+        # are ever one; a NaN elsewhere would spread to earlier rows through
+        # the dense product of a later apply
+        g = Grid(0.0, 1.0, 8)
+        v = np.ones(9)
+        v[node] = np.nan
+        with pytest.raises(ValueError, match=rf"node {node} \(t = {node / 8:g}\)"):
+            SampledFn(g, v, allow_sentinels=True)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("node", [0, 8])
+    @pytest.mark.parametrize("allow_sentinels", [False, True])
+    def test_infinite_endpoint_rejected_naming_node(self, allow_sentinels, node, sign):
+        g = Grid(0.0, 1.0, 8)
+        v = np.ones(9)
+        v[node] = sign * np.inf
+        with pytest.raises(ValueError, match=rf"node {node} \(t = {node / 8:g}\)"):
+            SampledFn(g, v, allow_sentinels=allow_sentinels)
+
+    def test_first_bad_node_is_named(self):
+        # the interior NaN at node 2 comes before the infinity at node 4;
+        # the NaN sentinel at node 0 is allowed
+        g = Grid(0.0, 1.0, 4)
+        v = np.array([np.nan, 0.0, np.nan, 0.0, np.inf])
+        with pytest.raises(ValueError, match=r"value nan at node 2 \(t = 0.5\)"):
+            SampledFn(g, v, allow_sentinels=True)
+
     def test_from_callable(self):
         g = Grid(0.0, 1.0, 8)
         f = SampledFn.from_callable(g, np.sin)

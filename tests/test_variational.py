@@ -242,6 +242,10 @@ class TestElResidual:
             el_residual(spec, q)
         with pytest.raises(ValueError, match=r"node 16 \(t = 0.5\)"):
             equivalence_gap(spec, q)
+        # the canonical route's r_q carries the same NaN
+        bundle = hamiltonian(spec, q)
+        with pytest.raises(ValueError, match=r"node 16 \(t = 0.5\)"):
+            hamilton_residuals(spec, bundle)
 
     def test_kinetic_density_on_constant_is_exactly_stationary(self):
         g = Grid(0.0, 1.0, 32)

@@ -18,13 +18,15 @@ Toeplitz matrix acting on first differences of the nodal values, plus
 f(a) times the column (x - a)^(-nu) / Gamma(1 - nu), which Caputo kinds
 omit. ``FracOperator`` stores only that O(n) generator, the Toeplitz
 column and the endpoint column. One private type holds T as its column
-and owns every product with T, its transpose and its inverse (the
-Ritz solver uses all three); all kinds of one family at one (order,
-grid) share one such object. Up to n = 512 ``apply`` multiplies by the
-dense T that the object makes on first use; the dense T of all objects
-are kept within a 4 MB budget, least recently used dropped first and
-made again on demand. Above, it multiplies by an FFT convolution that
-forms no n x n array and reuses the kernel's FFT, which the object keeps.
+and owns the product with T, which its transpose and its inverse go
+through as well (the Ritz solver uses all three): a direct convolution
+up to n = 512, above it an FFT convolution that forms no n x n array
+and reuses the kernel's FFT, which the object keeps. All kinds of one
+family at one (order, grid) share one such object. Up to n = 512
+``apply`` multiplies instead by the dense T that the object makes on
+first use; the dense T of all objects are kept within a 4 MB budget,
+least recently used dropped first and made again on demand. Above, it
+uses the object's product.
 Left kinds only look backward (rows are lower triangular), right kinds
 only forward.
 The Riemann-Liouville kinds are singular at their anchored endpoint
@@ -300,8 +302,12 @@ def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(padded, m)[::-1])
 
 
-# longest product taken directly; longer ones go through the FFT. Up to about
-# this length the direct product is the faster one
+# longest product taken directly, with apply's dense T or by convolution;
+# longer ones go through the FFT. This is not where the FFT starts to win: at
+# n = 512 it is already the fastest of the three (28 us against 43 us for the
+# convolution and 61 us for the dense product on a 2-vCPU Xeon). It is 512
+# because two tests sit at the rounding floor of apply's dense product at
+# n = 512, and other arithmetic there fails them
 _DIRECT_MAX = 512
 
 # bytes of dense T kept over all Toeplitz objects: two at n = 512, eight at 256.
@@ -317,38 +323,30 @@ def _fft_size(m: int) -> int:
     return 1 << (2 * m - 2).bit_length()  # a power of two >= 2m - 1: no wrap-around
 
 
-def _toeplitz_product(kernel: np.ndarray, v: np.ndarray, m: int, spectrum=None) -> np.ndarray:
-    """First m terms of the convolution kernel * v: the m x m lower-triangular
-    Toeplitz matrix with first column kernel[:m] times v[:m], either one
-    zero-padded to m terms. Direct up to _DIRECT_MAX terms, FFT above, where
-    ``spectrum``, if given, is rfft(kernel[:m], _fft_size(m))."""
-    if m <= _DIRECT_MAX:
-        return np.convolve(kernel, v)[:m]
-    size = _fft_size(m)
-    if spectrum is None:
-        spectrum = np.fft.rfft(kernel[:m], size)
-    return np.fft.irfft(spectrum * np.fft.rfft(v[:m], size), size)[:m]
-
-
 @dataclass(frozen=True, eq=False)
 class _Toeplitz:
     """The n x n lower-triangular Toeplitz matrix T with first column ``col``.
 
-    Every product with T, with its transpose or with its inverse goes
-    through _toeplitz_product. Above n = _DIRECT_MAX the products share
-    ``spectrum``, the FFT of ``col``, made on first use and kept. ``dense()``
-    returns T itself, which ``apply`` multiplies up to n = _DIRECT_MAX. The
-    object does not hold it: the module's _dense_held registry does, while
-    the dense T of all objects fit in _DENSE_BYTES; past that, the least
-    recently used one is dropped and made again, bit for bit, on its next
-    use.
+    ``@`` is the one product with T: the first n terms of the convolution
+    col * v, by np.convolve up to n = _DIRECT_MAX and by FFT above, where
+    every product shares ``spectrum``, the FFT of ``col``, made on first use
+    and kept. ``transpose`` and the Newton steps of ``inverse`` multiply
+    through it too. The only other product with T is ``apply``'s, with
+    ``dense()``, T itself, up to n = _DIRECT_MAX. The object does not hold
+    that: the module's _dense_held registry does, while the dense T of all
+    objects fit in _DENSE_BYTES; past that, the least recently used one is
+    dropped and made again, bit for bit, on its next use.
     """
 
     col: np.ndarray
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """T v, with v zero-padded or cut to n terms."""
         m = self.col.size
-        return _toeplitz_product(self.col, v, m, self.spectrum if m > _DIRECT_MAX else None)
+        if m <= _DIRECT_MAX:
+            return np.convolve(self.col, v)[:m]
+        size = _fft_size(m)
+        return np.fft.irfft(self.spectrum * np.fft.rfft(v[:m], size), size)[:m]
 
     def transpose(self, v: np.ndarray) -> np.ndarray:
         """T^T v: T^T is T conjugated by index reversal."""
@@ -371,13 +369,14 @@ class _Toeplitz:
 
     def inverse(self) -> "_Toeplitz":
         """T^-1, whose column is the power series 1 / col(x) to col.size
-        terms, by Newton doubling c <- c (2 - col c). Not kept, since no
+        terms, by Newton doubling c <- c (2 - col c), each step two products
+        with the Toeplitz matrices of truncated columns. Not kept, since no
         caller inverts one T twice."""
         k, c = self.col, np.array([1.0 / self.col[0]])
         while c.size < k.size:
             # k c = 1 + x^c.size r, so c (2 - k c) appends the terms of -c r
-            r = _toeplitz_product(k[: 2 * c.size], c, 2 * c.size)[c.size :]
-            c = np.concatenate((c, -_toeplitz_product(c, r, min(c.size, k.size - c.size))))
+            r = (_Toeplitz(k[: 2 * c.size]) @ c)[c.size :]
+            c = np.concatenate((c, -(_Toeplitz(c[: r.size]) @ r)))
         return _Toeplitz(_freeze(c))
 
 

@@ -21,6 +21,7 @@ routes add are computed at most once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Callable
@@ -225,7 +226,12 @@ def _weighted_norms(res: SampledFn) -> tuple[float, float]:
     # checked that the interior is finite
     inner = res.values[1:-1]
     w = trapezoid_weights(res.grid)[1:-1]
-    return float(np.max(np.abs(inner))), float(np.sqrt(np.sum(w * inner**2)))
+    max_abs = float(np.max(np.abs(inner)))
+    # squares of values above about 1e154 overflow: scale them below 1 by a
+    # power of two, which is exact, so where the unscaled l2 is finite this
+    # one is the same bit for bit
+    scale = math.ldexp(1.0, -max(math.frexp(max_abs)[1], 0))
+    return max_abs, float(np.sqrt(np.sum(w * (scale * inner) ** 2))) / scale
 
 
 def evaluate_functional(spec: LagrangianSpec, q: SampledFn) -> float:

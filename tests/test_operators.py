@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import fracham.cli
 from fracham import fracnum
 from fracham import (
     DomainError,
@@ -209,7 +211,7 @@ class TestMatrixStructure:
         kernel = build_operator(kind, order, grid01(n)).kernel
         d = np.random.default_rng(n).standard_normal(n)
         T = fracnum._lower_toeplitz(kernel)
-        err = np.abs(fracnum._toeplitz_product(kernel, d, n) - T @ d)
+        err = np.abs(fracnum._Toeplitz(kernel) @ d - T @ d)
         assert np.max(err) <= 1e-14 * np.max(np.abs(T) @ np.abs(d))
 
     @pytest.mark.parametrize("order", [0.01, 0.5, 0.999])
@@ -223,10 +225,24 @@ class TestMatrixStructure:
         assert np.max(np.abs(T @ v - dense @ v)) <= 1e-14 * np.max(np.abs(dense) @ np.abs(v))
         err = np.abs(T.transpose(v) - dense.T @ v)
         assert np.max(err) <= 1e-14 * np.max(np.abs(dense.T) @ np.abs(v))
+        # a shorter v is zero-padded, as the inverse's Newton steps need
+        short = v[: n // 3]
+        padded = np.concatenate((short, np.zeros(n - short.size)))
+        assert np.max(np.abs(T @ short - dense @ padded)) <= (
+            1e-14 * np.max(np.abs(dense) @ np.abs(padded)))
         T_inv = T.inverse()
         assert isinstance(T_inv, fracnum._Toeplitz)
         assert np.max(np.abs(dense @ T_inv.col - np.eye(1, n)[0])) <= 1e-12
         assert np.linalg.norm(T_inv @ (T @ v) - v) <= 1e-12 * np.linalg.norm(v)
+
+    def test_toeplitz_type_is_the_one_product(self):
+        # apart from apply's dense T, every product with T is the Toeplitz
+        # type's: no free product function, and no convolution or FFT elsewhere
+        assert not hasattr(fracnum, "_toeplitz_product")
+        own = inspect.getsource(fracnum._Toeplitz)
+        for module in (fracnum, fracham.solver, fracham.variational, fracham.cli):
+            rest = inspect.getsource(module).replace(own, "")
+            assert "np.convolve" not in rest and "np.fft" not in rest, module.__name__
 
     @pytest.mark.parametrize(
         "family", [DERIVATIVE_KINDS, [K.INT_LEFT, K.INT_RIGHT]], ids=["derivative", "integral"]

@@ -247,6 +247,18 @@ class TestElResidual:
         with pytest.raises(ValueError, match=r"node 16 \(t = 0.5\)"):
             hamilton_residuals(spec, bundle)
 
+    def test_huge_finite_residual_has_finite_norms(self):
+        # squares of residuals above about 1e154 overflow; the norms must not
+        g = Grid(0.0, 1.0, 64)
+        q = SampledFn(g, 1e160 * np.sin(3.0 * g.nodes))
+        spec = example_lagrangian(0.5, 0.75)
+        rep = el_residual(spec, q)
+        assert math.isfinite(rep.max_abs) and rep.max_abs > 1e160
+        assert 0.0 < rep.l2 <= rep.max_abs  # the interior weights sum to less than 1
+        gap = equivalence_gap(spec, q)
+        assert gap.el_l2 == rep.l2
+        assert math.isfinite(gap.hamilton_l2) and gap.hamilton_l2 > 0.0
+
     def test_kinetic_density_on_constant_is_exactly_stationary(self):
         g = Grid(0.0, 1.0, 32)
         rep = el_residual(kinetic_spec(0.5), SampledFn(g, np.full(33, 4.0)))

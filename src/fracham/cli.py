@@ -2,7 +2,9 @@
 
 Four subcommands emit plot-ready CSV (12 significant digits, comma
 separated, an empty field for a non-finite value, comments prefixed
-with '#'):
+with '#'). Table rows go through one writer, ``_table``, which formats
+each row with a single ``%``; the ``#`` summary line and
+check-equivalence's one row use the same ``%.12g`` through ``_fmt``:
 
     deriv              tabulate one fractional operator applied to a function
     solve-example      run the model-problem solver and report errors
@@ -22,7 +24,6 @@ numeric domain error.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from dataclasses import astuple
@@ -68,11 +69,16 @@ def _fmt(x: float) -> str:
 
 def _table(header: str, rows) -> list[str]:
     """CSV lines: the header, then each row of numbers at 12 significant
-    digits, a non-finite one printed empty. Rows hold Python numbers, as
-    ``.tolist()`` gives them: math.isfinite on those is several times
-    cheaper than np.isfinite on numpy scalars."""
-    rows = (",".join(_fmt(x) if math.isfinite(x) else "" for x in row) for row in rows)
-    return [header, *rows]
+    digits, a non-finite one printed empty. Each row is a tuple as wide as
+    the header (a row of another width raises TypeError), formatted by one
+    ``%`` with a format of one ``%.12g`` per column: no Python call per
+    field. ``%g`` spells a non-finite value ``nan``, ``inf`` or ``-inf``,
+    the only fields that can hold an ``n``, so only a line that holds one
+    is split and those fields are blanked."""
+    fmt = ",".join(["%.12g"] * (header.count(",") + 1))
+    lines = [s if "n" not in s else ",".join("" if "n" in f else f for f in s.split(","))
+             for s in map(fmt.__mod__, rows)]
+    return [header, *lines]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -62,6 +62,18 @@ _PROBE_COUNT = 8
 _PROBE_TOL = 1e-6
 
 
+@cache
+def _probes() -> np.ndarray:
+    """LagrangianSpec's probes, one row (t, q, dl, dr) each, read-only.
+    Drawn once, at the first check rather than at import: loading
+    numpy.random costs about 15 ms and 6 MB, which a process that never
+    builds a spec (``fracham deriv``, say) would pay for nothing."""
+    probes = np.random.default_rng(_PROBE_SEED).uniform(
+        [0.05, -2.0, -2.0, -2.0], [0.95, 2.0, 2.0, 2.0], size=(_PROBE_COUNT, 4))
+    probes.flags.writeable = False
+    return probes
+
+
 @dataclass(frozen=True, eq=False)
 class LagrangianSpec:
     """A density L and its three partial derivatives.
@@ -69,12 +81,13 @@ class LagrangianSpec:
     ``dL_dq``, ``dL_ddL`` and ``dL_ddR`` are the partials with respect to
     the trajectory value, the left-Caputo argument and the right-Caputo
     argument. On construction they are cross-checked against central
-    finite differences of ``eval_L`` at 8 fixed random probes, with t in
-    [0.05, 0.95] and q, dl, dr in [-2, 2]; a mismatch beyond 1e-6
-    (relative, with an absolute floor of 1) raises ValueError. The probes
-    reach every callback as arrays, as evaluation does, so a callback that
-    takes only scalars fails here. Pass ``validate=False`` to skip the
-    gate, for example for a density undefined on [0.05, 0.95].
+    finite differences of ``eval_L`` at 8 fixed probes, drawn once from
+    a seeded generator, with t in [0.05, 0.95] and q, dl, dr in [-2, 2];
+    a mismatch beyond 1e-6 (relative, with an absolute floor of 1) raises
+    ValueError. The probes reach every callback as arrays, as evaluation
+    does, so a callback that takes only scalars fails here. Pass
+    ``validate=False`` to skip the gate, for example for a density
+    undefined on [0.05, 0.95].
     """
 
     eval_L: Density
@@ -92,9 +105,7 @@ class LagrangianSpec:
             self._check_partials()
 
     def _check_partials(self) -> None:
-        # one row (t, q, dl, dr) per probe; column k + 1 is the argument of partial k
-        rng = np.random.default_rng(_PROBE_SEED)
-        pts = rng.uniform([0.05, -2.0, -2.0, -2.0], [0.95, 2.0, 2.0, 2.0], size=(_PROBE_COUNT, 4))
+        pts = _probes()  # column k + 1 is the argument of partial k
         names = ("dL_dq", "dL_ddL", "dL_ddR")
         stated, fd = np.empty((2, _PROBE_COUNT, len(names)))
         for k, name in enumerate(names):

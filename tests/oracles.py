@@ -10,7 +10,8 @@ weight matrices are filled entry by entry with plain loops. The dense
 nodal matrix of an operator is formed here from its stored generator, as
 the reference for the package's Toeplitz evaluation, and from it the
 dense normal equations of the model problem, as the reference for the
-Ritz solve.
+Ritz solve. The CLI's CSV rows are formatted here one field at a time, as
+the reference for its one-format-per-row table writer.
 """
 
 from __future__ import annotations
@@ -194,3 +195,9 @@ def normal_equations(problem):
     interior unknowns q_1 .. q_{n-1}; returns (B^T B, B^T f)."""
     b, f = weighted_interior_system(problem)
     return b.T @ b, b.T @ f
+
+
+def csv_rows_per_field(rows) -> list[str]:
+    """The CLI's CSV rows, one field at a time: 12 significant digits, an
+    empty field for a value that is not finite."""
+    return [",".join("%.12g" % x if math.isfinite(x) else "" for x in row) for row in rows]

@@ -1,4 +1,5 @@
 import io
+import math
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -12,9 +13,11 @@ from fracham.cli import (
     EXIT_OK,
     EXIT_THRESHOLD,
     EXIT_USAGE,
+    _table,
     main,
     parse_function,
 )
+from oracles import csv_rows_per_field
 
 
 def run_cli(*argv):
@@ -142,6 +145,16 @@ class TestDeriv:
         _, rows = csv_rows(out)
         assert rows[0][1] == ""  # empty value cell at t = 0
         assert float(rows[-1][1]) == pytest.approx(0.5641895835477563, rel=1e-11)
+
+    def test_rl_right_flags_singular_endpoint(self):
+        code, out, _ = run_cli(
+            "deriv", "--kind", "rl-right", "--alpha", "0.5",
+            "--fn", "1", "--interval", "0:1", "--n", "8",
+        )
+        assert code == EXIT_OK
+        _, rows = csv_rows(out)
+        assert rows[-1][1] == ""  # empty value cell at t = 1, the last field of the table
+        assert float(rows[0][1]) == pytest.approx(0.5641895835477563, rel=1e-11)
 
     def test_integral_kind(self):
         code, out, _ = run_cli(
@@ -418,3 +431,28 @@ class TestOutputContract:
     def test_missing_subcommand_is_usage_error(self):
         code, _, _ = run_cli()
         assert code == EXIT_USAGE
+
+
+class TestTableWriter:
+    # the non-finite values, signed zeros, ints (converge's n column), the
+    # extremes of the float range, both sides of where %g switches to an
+    # exponent (below 1e-4, from 1e12) and rounding at the 12th digit
+    FIELDS = (
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 0, 4096, 5e-324, -5e-324,
+        1.7976931348623157e308, 1e-4, 1e-5, 999999999999.0, 1e12, 1e16,
+        0.1 + 0.2, 0.49999999999949996, -2.5,
+    )
+
+    @pytest.mark.parametrize("width", [2, 4, 5])
+    def test_matches_the_per_field_oracle(self, width):
+        header = ",".join(f"c{i}" for i in range(width))
+        k = len(self.FIELDS)
+        # every value in every column, then rows all non-finite and all finite
+        rows = [tuple(self.FIELDS[(i + j) % k] for j in range(width)) for i in range(k)]
+        rows += [(math.nan,) * width, (-math.inf,) * width, (0.1,) * width]
+        assert _table(header, rows) == [header, *csv_rows_per_field(rows)]
+
+    @pytest.mark.parametrize("row", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_row_of_another_width_raises(self, row):
+        with pytest.raises(TypeError):
+            _table("a,b", [(1.0, 2.0), row])

@@ -24,10 +24,29 @@ print(" ".join(sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "mpmath
 """
 
 
-def test_library_imports_no_test_dependency():
+# numpy.random costs a process about 15 ms and 6 MB to load, so the package
+# loads it only to draw LagrangianSpec's probes: `fracham deriv` never does
+_DERIV_PROGRAM = """
+import contextlib, io, sys
+import fracham.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    fracham.cli.main(["deriv", "--kind", "rl-left", "--alpha", "0.5", "--fn", "1", "--n", "8"])
+print("numpy.random" in sys.modules)
+"""
+
+
+def _run(program: str) -> str:
     src = str(Path(fracham.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", _PROGRAM], capture_output=True, text=True,
+    run = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path))
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == ""
+    return run.stdout.strip()
+
+
+def test_library_imports_no_test_dependency():
+    assert _run(_PROGRAM) == ""
+
+
+def test_deriv_does_not_load_numpy_random():
+    assert _run(_DERIV_PROGRAM) == "False"

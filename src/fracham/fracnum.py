@@ -18,15 +18,11 @@ Toeplitz matrix acting on first differences of the nodal values, plus
 f(a) times the column (x - a)^(-nu) / Gamma(1 - nu), which Caputo kinds
 omit. ``FracOperator`` stores only that O(n) generator, the Toeplitz
 column and the endpoint column. One private type holds T as its column
-and owns the product with T, which its transpose and its inverse go
-through as well (the Ritz solver uses all three): a direct convolution
-up to n = 512, above it an FFT convolution that forms no n x n array
-and reuses the kernel's FFT, which the object keeps. All kinds of one
-family at one (order, grid) share one such object. Up to n = 512
-``apply`` multiplies instead by the dense T that the object makes on
-first use; the dense T of all objects are kept within a 4 MB budget,
-least recently used dropped first and made again on demand. Above, it
-uses the object's product.
+and owns the one product with T, which ``apply``, its transpose and its
+inverse go through (the Ritz solver uses the last three): a direct
+convolution up to n = 512, above it an FFT convolution that reuses the
+kernel's FFT, which the object keeps. No n x n array is formed. All
+kinds of one family at one (order, grid) share one such object.
 Left kinds only look backward (rows are lower triangular), right kinds
 only forward.
 The Riemann-Liouville kinds are singular at their anchored endpoint
@@ -38,12 +34,10 @@ from __future__ import annotations
 
 import enum
 import math
-import weakref
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DomainError",
@@ -267,8 +261,7 @@ class FracOperator:
     Right kinds are the left kinds conjugated by index reversal
     i -> n - i. ``unusable`` lists rows where the underlying operator is
     singular; only the Riemann-Liouville kinds have one (row 0 on the
-    left, row n on the right). No n x n array is held above n = 512,
-    where ``apply`` convolves with ``kernel`` by FFT.
+    left, row n on the right). No n x n array is held at any n.
 
     Make operators with ``build_operator`` only: the fourth field is the
     private Toeplitz object, not the kernel array, and ``kernel`` is a
@@ -294,29 +287,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
-    """C-contiguous lower-triangular Toeplitz matrix with first column ``col``."""
-    m = col.size
-    padded = np.concatenate((col[::-1], np.zeros(m - 1)))
-    # window k is padded[k : k + m], so row i is window m - 1 - i
-    return np.ascontiguousarray(sliding_window_view(padded, m)[::-1])
-
-
-# longest product taken directly, with apply's dense T or by convolution;
-# longer ones go through the FFT. This is not where the FFT starts to win: at
-# n = 512 it is already the fastest of the three (28 us against 43 us for the
-# convolution and 61 us for the dense product on a 2-vCPU Xeon). It is 512
-# because two tests sit at the rounding floor of apply's dense product at
-# n = 512, and other arithmetic there fails them
+# longest product taken as a direct convolution; longer ones go through the
+# FFT. This is not where the FFT starts to win: at n = 512 it is already the
+# faster (28 us against 43 us on a 2-vCPU Xeon). It is 512 because both tests
+# at the rounding floor of apply need a direct sum up to n = 512: by FFT, the
+# empirical-order test's node 1 is no longer exactly linear in h
 _DIRECT_MAX = 512
-
-# bytes of dense T kept over all Toeplitz objects: two at n = 512, eight at 256.
-# _dense_held maps each Toeplitz object to its dense T, least recently used
-# first; past the budget that one is dropped, to be rebuilt on its next use.
-# Its keys are weak, so an object that the operator cache lets go is freed
-# with its T
-_DENSE_BYTES = 4 << 20
-_dense_held: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _fft_size(m: int) -> int:
@@ -330,12 +306,8 @@ class _Toeplitz:
     ``@`` is the one product with T: the first n terms of the convolution
     col * v, by np.convolve up to n = _DIRECT_MAX and by FFT above, where
     every product shares ``spectrum``, the FFT of ``col``, made on first use
-    and kept. ``transpose`` and the Newton steps of ``inverse`` multiply
-    through it too. The only other product with T is ``apply``'s, with
-    ``dense()``, T itself, up to n = _DIRECT_MAX. The object does not hold
-    that: the module's _dense_held registry does, while the dense T of all
-    objects fit in _DENSE_BYTES; past that, the least recently used one is
-    dropped and made again, bit for bit, on its next use.
+    and kept. ``apply``, ``transpose`` and the Newton steps of ``inverse``
+    all multiply through it.
     """
 
     col: np.ndarray
@@ -355,17 +327,6 @@ class _Toeplitz:
     @cached_property
     def spectrum(self) -> np.ndarray:
         return _freeze(np.fft.rfft(self.col, _fft_size(self.col.size)))
-
-    def dense(self) -> np.ndarray:
-        """T as an n x n array, marked as the most recently used dense T."""
-        dense = _dense_held.pop(self, None)
-        if dense is None:
-            dense = _freeze(_lower_toeplitz(self.col))
-            while _dense_held and (
-                    dense.nbytes + sum(d.nbytes for d in _dense_held.values()) > _DENSE_BYTES):
-                del _dense_held[next(iter(_dense_held))]  # the least recently used
-        _dense_held[self] = dense
-        return dense
 
     def inverse(self) -> "_Toeplitz":
         """T^-1, whose column is the power series 1 / col(x) to col.size
@@ -425,12 +386,10 @@ def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
     derivatives and -mu for integrals. Building costs O(n) time and
     memory. All kinds of one family (the four derivative kinds, or the
     two integral kinds) at one (order, grid) share one Toeplitz object,
-    so the kernel is computed once per family. Up to n = 512 ``apply``
-    makes that object's dense matrix on its first call and keeps it
-    while it is among the most recently used that fit the 4 MB budget;
-    above, an operator holds O(n) memory only, the kernel's FFT
-    included. Operators are cached, and their arrays are read-only, so
-    repeated calls with equal arguments are cheap.
+    so the kernel is computed once per family. An operator holds O(n)
+    memory only, the kernel's FFT included. Operators are cached, and
+    their arrays are read-only, so repeated calls with equal arguments
+    are cheap.
     """
     if not isinstance(kind, OperatorKind):
         raise TypeError(f"kind must be an OperatorKind, got {kind!r}")
@@ -447,18 +406,15 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     The Toeplitz matrix multiplies first differences for every kind,
     y[i] = sum_k kernel[i-1-k] (f[k+1] - f[k]), which annihilates
     constant inputs bit-exactly; f(a) times ``op.correction`` is added
-    where there is one. Up to n = 512 the product is with the dense
-    Toeplitz matrix of the Toeplitz object that the operator's family
-    shares, built on first use and kept within a 4 MB budget over all
-    such objects (the least recently used is dropped and built again,
-    bit for bit, when next needed); above, it is an FFT convolution
-    with ``op.kernel``, whose transform the object keeps, in O(n log n)
-    time and O(n) memory. Rows listed in ``op.unusable`` come back as
-    NaN sentinels that downstream quadrature replaces (see
-    quad_trapezoid). ``SampledFn`` admits NaN only at node 0 or n, so
-    checking those two rows is enough to keep a NaN out of the product,
-    where it would spread to earlier rows: an input with NaN there, where
-    such a sentinel sits, raises DomainError naming the node.
+    where there is one. The product is that of the Toeplitz object the
+    operator's family shares: a direct convolution with ``op.kernel`` up
+    to n = 512, above it an FFT convolution, whose kernel transform the
+    object keeps, in O(n log n) time and O(n) memory. Rows listed in
+    ``op.unusable`` come back as NaN sentinels that downstream quadrature
+    replaces (see quad_trapezoid). ``SampledFn`` admits NaN only at node
+    0 or n, so checking those two rows is enough to keep a NaN out of the
+    product, where it would spread to earlier rows: an input with NaN
+    there, where such a sentinel sits, raises DomainError naming the node.
     """
     if f.grid != op.grid:
         raise GridMismatchError(
@@ -470,11 +426,9 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
         if math.isnan(f.values[i]):
             raise DomainError(f"input is NaN at node {i}, an operator's unusable row")
     left = op.kind.is_left
-    # contiguous reversal keeps the BLAS path identical to a left apply
-    v = f.values if left else np.ascontiguousarray(f.values[::-1])
+    v = f.values if left else f.values[::-1]
     y = np.zeros(n + 1)
-    T = op._toeplitz
-    y[1:] = (T.dense() if n <= _DIRECT_MAX else T) @ np.diff(v)
+    y[1:] = op._toeplitz @ np.diff(v)
     if op.correction is not None:
         y = y + v[0] * op.correction
     if not left:
@@ -497,12 +451,10 @@ def caputo_power_rule(beta: float, alpha, t: float, a: float = 0.0) -> float:
         raise DomainError(f"power-rule exponent must be positive, got beta = {beta:g}")
     if t < a:
         raise DomainError(f"need t >= a, got t = {t:g} < a = {a:g}")
-    arg = 1.0 + beta - al
-    if arg <= 0.0 and arg == math.floor(arg):
-        raise DomainError(f"gamma pole at 1 + beta - alpha = {arg:g}")
     if t == a and beta < al:
         raise DomainError("derivative of (t - a)^beta is singular at t = a for beta < alpha")
-    return gamma(1.0 + beta) / gamma(arg) * (t - a) ** (beta - al)
+    # beta > 0 and alpha < 1, so 1 + beta - alpha > 0 is no pole of gamma
+    return gamma(1.0 + beta) / gamma(1.0 + beta - al) * (t - a) ** (beta - al)
 
 
 # ---------------------------------------------------------------------------

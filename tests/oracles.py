@@ -7,10 +7,11 @@ central finite differences, gamma references come from the exact
 recurrence seeded at Gamma(1) = 1 and Gamma(0.5) = sqrt(pi), convolution
 coefficients are evaluated in mpmath's extended precision, and the dense
 weight matrices are filled entry by entry with plain loops. The dense
-nodal matrix of an operator is formed here from its stored generator, as
-the reference for the package's Toeplitz evaluation, and from it the
-dense normal equations of the model problem, as the reference for the
-Ritz solve. The CLI's CSV rows are formatted here one field at a time, as
+Toeplitz matrix of a kernel, and the dense nodal matrix of an operator
+formed from its stored generator, are the references for the package's
+Toeplitz product and evaluation; from the nodal matrix come the dense
+normal equations of the model problem, the reference for the Ritz
+solve. The CLI's CSV rows are formatted here one field at a time, as
 the reference for its one-format-per-row table writer.
 """
 
@@ -157,6 +158,13 @@ def weights_loops(kind: str, order: float, a: float, b: float, n: int):
     else:
         w = l1_weights_loops(n, order, h, riemann_liouville=family == "rl")
     return w if side == "left" else w[::-1, ::-1]
+
+
+def lower_toeplitz(col: np.ndarray) -> np.ndarray:
+    """Dense lower-triangular Toeplitz matrix T with first column ``col``:
+    the reference for the package's product with T, which forms no such
+    matrix."""
+    return toeplitz(col, np.zeros_like(col))
 
 
 def nodal_matrix(op) -> np.ndarray:

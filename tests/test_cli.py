@@ -6,8 +6,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import fracham.cli
 import fracham.solver
-from fracham import fracnum
+from fracham import ConvergenceError, ConvergenceRow, fracnum
 from fracham.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -189,6 +190,15 @@ class TestDeriv:
         code, _, _ = run_cli("deriv", "--kind", "weyl", "--alpha", "0.5", "--fn", "t")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("interval,message", [
+        ("1", "interval must look like a:b, got '1'"),
+        ("a:b", "interval endpoints must be numbers, got 'a:b'"),
+    ], ids=["one-part", "not-numbers"])
+    def test_malformed_interval_is_usage_error(self, interval, message):
+        code, out, err = run_cli("deriv", "--kind", "caputo-left", "--alpha", "0.5",
+                                 "--fn", "t", "--interval", interval)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
     def test_non_finite_function_is_domain_error(self):
         code, _, err = run_cli(
             "deriv", "--kind", "caputo-left", "--alpha", "0.5",
@@ -309,6 +319,23 @@ class TestConverge:
                              "--n-list", "64,banana")
         assert code == EXIT_USAGE
 
+    def test_rising_error_exits_1_and_prints_the_rows(self, monkeypatch):
+        # the rows computed before the error are the table; the exit code, not
+        # stderr, says that l2_err rose
+        rows = [ConvergenceRow(64, 1e-3, 2e-4, 3e-3, 3e-3),
+                ConvergenceRow(128, 2e-3, 5e-4, 4e-3, 4e-3)]
+
+        def rising(alpha, beta, n_list):
+            raise ConvergenceError("l2 error increased", rows)
+
+        monkeypatch.setattr(fracham.cli, "convergence_study", rising)
+        code, out, err = run_cli("converge", "--alpha", "0.5", "--beta", "0.75",
+                                 "--n-list", "64,128")
+        assert (code, err) == (EXIT_THRESHOLD, "")
+        assert out.splitlines() == ["n,max_err,l2_err,el_max,hamilton_max",
+                                    "64,0.001,0.0002,0.003,0.003",
+                                    "128,0.002,0.0005,0.004,0.004"]
+
     def test_exact_minimizer_at_beta_one(self):
         # l2_err is rounding noise below 1e-12 and may rise; that is not a failure
         code, out, err = run_cli("converge", "--alpha", "0.5", "--beta", "1",
@@ -341,11 +368,12 @@ class TestNumericFailures:
 
 class TestOutOfMemory:
     def test_exits_2_with_one_error_line(self, monkeypatch):
-        # a grid too large for the dense operator matrix is a parameter error
-        def no_memory(col):
+        # a grid too large for memory is a parameter error; the product with
+        # T is where an apply allocates
+        def no_memory(T, v):
             raise MemoryError("Unable to allocate 7.28 TiB")
 
-        monkeypatch.setattr(fracnum, "_lower_toeplitz", no_memory)
+        monkeypatch.setattr(fracnum._Toeplitz, "__matmul__", no_memory)
         fracnum._build.cache_clear()
         try:
             code, out, err = run_cli("deriv", "--kind", "caputo-left", "--alpha", "0.5",

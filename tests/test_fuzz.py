@@ -24,7 +24,7 @@ from fracham.cli import main
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150, database=None)
 
 # orders across the open interval (0, 1) from 1e-300 to 1 - 1e-16, and values
-# outside it; grid sizes at the dense/FFT switch, and sizes too small or not numbers
+# outside it; grid sizes at the direct/FFT switch, and sizes too small or not numbers
 orders = st.one_of(
     st.floats(1e-300, 1.0 - 1e-16).map(repr),
     st.sampled_from(["1e-300", "0.5", "0.9999999999999999", "0", "1", "1.5", "-0.25", "nan",

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from oracles import (
     frac_integral_quadrature,
     integral_coefficient_mpmath,
     l1_coefficient_mpmath,
+    lower_toeplitz,
     nodal_matrix,
     rl_left_quadrature,
     weights_loops,
@@ -50,9 +52,23 @@ def max_finite(values):
     return float(np.nanmax(np.abs(values)))
 
 
-def dense_kept(op):
-    """The dense T that the budget registry keeps for op's Toeplitz object, or None."""
-    return fracnum._dense_held.get(op._toeplitz)
+def arrays_held(op):
+    """The arrays that op and its Toeplitz object hold."""
+    return [v for v in (*vars(op).values(), *vars(op._toeplitz).values())
+            if isinstance(v, np.ndarray)]
+
+
+def build_and_apply_peak(kind, n):
+    """Peak bytes traced while a fresh operator is built and applied once."""
+    fracnum._build.cache_clear()
+    grid = Grid(0.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        op = build_operator(kind, 0.5, grid)
+        apply(op, SampledFn(grid, np.sin(grid.nodes)))
+        return op, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +121,7 @@ class TestMatrixStructure:
         # building is O(n); a dense T would be 134 MB at this size
         fracnum._build.cache_clear()
         op = build_operator(kind, 0.5, Grid(0.0, 1.0, 4096))
-        held = [*vars(op).values(), *vars(op._toeplitz).values(), dense_kept(op)]
-        assert sum(v.nbytes for v in held if isinstance(v, np.ndarray)) < 1_000_000
+        assert sum(v.nbytes for v in arrays_held(op)) < 1_000_000
 
     @pytest.mark.parametrize(
         "family", [DERIVATIVE_KINDS, [K.INT_LEFT, K.INT_RIGHT]], ids=["derivative", "integral"]
@@ -117,49 +132,33 @@ class TestMatrixStructure:
         ops = [build_operator(kind, 0.29, g) for kind in family]
         for op in reversed(ops):
             apply(op, f)
-        left = dense_kept(ops[0])
-        assert left is not None
-        assert all(np.shares_memory(left, dense_kept(op)) for op in ops[1:])
+        assert all(op._toeplitz is ops[0]._toeplitz for op in ops[1:])
+        assert not [v for v in arrays_held(ops[0]) if v.ndim == 2]
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_used_operator_keeps_no_nodal_matrix(self, kind):
-        # the nodal matrix is derived from the generator and not kept; up to
-        # n = 512 apply keeps only the Toeplitz matrix, n x n, in the
-        # Toeplitz object that the operator's family shares
+        # the nodal matrix is derived from the generator and not kept; at
+        # n = 512 apply convolves directly and forms no n x n array either:
+        # its peak (measured under 10 * 8n bytes) is far below one T, 8 n^2
         n = 512
-        fracnum._build.cache_clear()
         try:
-            op = build_operator(kind, 0.5, Grid(0.0, 1.0, n))
+            op, peak = build_and_apply_peak(kind, n)
             assert nodal_matrix(op).shape == (n + 1, n + 1)
-            apply(op, SampledFn(op.grid, np.ones(n + 1)))
-            assert not [v for v in vars(op).values() if isinstance(v, np.ndarray) and v.ndim == 2]
-            held = [*vars(op._toeplitz).values(), dense_kept(op)]
-            dense = [v for v in held if isinstance(v, np.ndarray) and v.ndim == 2]
-            if kind.is_integral:
-                assert len(dense) == 1 and np.shares_memory(
-                    dense[0], dense_kept(build_operator(K.INT_LEFT, 0.5, op.grid))
-                )
-            else:
-                assert [v.shape for v in dense] == [(n, n)]
+            assert not [v for v in arrays_held(op) if v.ndim == 2]
+            assert peak < 32 * 8 * n
         finally:
             fracnum._build.cache_clear()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_large_operator_builds_no_dense_matrix(self, kind, monkeypatch):
-        # above n = 512 apply convolves by FFT and never forms T
-        def no_dense(col):
-            raise AssertionError("dense Toeplitz matrix built")
-
-        monkeypatch.setattr(fracnum, "_lower_toeplitz", no_dense)
-        fracnum._build.cache_clear()
+    def test_large_operator_builds_no_dense_matrix(self, kind):
+        # above n = 512 apply convolves by FFT and never forms T, which would
+        # take 134 MB here; the peak was measured under 12 * 8n bytes
         try:
-            op = build_operator(kind, 0.5, Grid(0.0, 1.0, 4096))
-            apply(op, SampledFn(op.grid, np.sin(op.grid.nodes)))
-            held = [*vars(op).values(), *vars(op._toeplitz).values(), dense_kept(op)]
-            assert not [v for v in held if isinstance(v, np.ndarray) and v.ndim == 2]
+            op, peak = build_and_apply_peak(kind, 4096)
+            assert peak < 32 * 8 * 4096
+            assert not [v for v in arrays_held(op) if v.ndim == 2]
             # the kernel's FFT is kept, O(n), once per Toeplitz object
-            spectra = [v for v in vars(op._toeplitz).values()
-                       if isinstance(v, np.ndarray) and np.iscomplexobj(v)]
+            spectra = [v for v in arrays_held(op) if np.iscomplexobj(v)]
             assert [v.ndim for v in spectra] == [1]
         finally:
             fracnum._build.cache_clear()
@@ -182,25 +181,6 @@ class TestMatrixStructure:
         T.transpose(v)
         assert calls == [False, False]  # the two transforms of v alone
 
-    def test_evicted_dense_matrix_is_rebuilt_bit_for_bit(self):
-        # three dense T at n = 512 take 6 MB, over the 4 MB budget: the least
-        # recently used one is dropped, and its next apply makes it again
-        g = grid01(512)
-        assert 2 * 8 * 512**2 <= fracnum._DENSE_BYTES < 3 * 8 * 512**2
-        f = SampledFn(g, np.sin(3.0 * g.nodes))
-        a, b, c = (build_operator(K.CAPUTO_LEFT, order, g) for order in (0.311, 0.412, 0.513))
-        before = apply(a, f).values
-        dense = dense_kept(a).copy()
-        apply(b, f)
-        apply(a, f)  # now b is the least recently used
-        apply(c, f)
-        assert dense_kept(a) is not None and dense_kept(c) is not None
-        assert dense_kept(b) is None
-        apply(b, f)
-        assert dense_kept(a) is None
-        assert apply(a, f).values.tobytes() == before.tobytes()
-        assert dense_kept(a).tobytes() == dense.tobytes()
-
     @pytest.mark.parametrize("order", [0.01, 0.5, 0.999])
     @pytest.mark.parametrize("n", [513, 1024, 4096])
     @pytest.mark.parametrize("integral", [False, True], ids=["derivative", "integral"])
@@ -210,7 +190,7 @@ class TestMatrixStructure:
         kind = K.INT_LEFT if integral else K.CAPUTO_LEFT
         kernel = build_operator(kind, order, grid01(n)).kernel
         d = np.random.default_rng(n).standard_normal(n)
-        T = fracnum._lower_toeplitz(kernel)
+        T = lower_toeplitz(kernel)
         err = np.abs(fracnum._Toeplitz(kernel) @ d - T @ d)
         assert np.max(err) <= 1e-14 * np.max(np.abs(T) @ np.abs(d))
 
@@ -220,7 +200,7 @@ class TestMatrixStructure:
         # product and transpose are bounded relative to |T| |v|, the scale of
         # the terms summed; the inverse's column must solve T c = e_0
         T = build_operator(K.CAPUTO_LEFT, order, grid01(n))._toeplitz
-        dense = fracnum._lower_toeplitz(T.col)
+        dense = lower_toeplitz(T.col)
         v = np.random.default_rng(n).standard_normal(n)
         assert np.max(np.abs(T @ v - dense @ v)) <= 1e-14 * np.max(np.abs(dense) @ np.abs(v))
         err = np.abs(T.transpose(v) - dense.T @ v)
@@ -236,9 +216,12 @@ class TestMatrixStructure:
         assert np.linalg.norm(T_inv @ (T @ v) - v) <= 1e-12 * np.linalg.norm(v)
 
     def test_toeplitz_type_is_the_one_product(self):
-        # apart from apply's dense T, every product with T is the Toeplitz
-        # type's: no free product function, and no convolution or FFT elsewhere
+        # every product with T, apply's included, is the Toeplitz type's: no
+        # free product function, no dense T, and no convolution or FFT elsewhere
         assert not hasattr(fracnum, "_toeplitz_product")
+        assert not hasattr(fracnum._Toeplitz, "dense")
+        for name in ("_lower_toeplitz", "_dense_held", "_DENSE_BYTES", "weakref"):
+            assert not hasattr(fracnum, name), name
         own = inspect.getsource(fracnum._Toeplitz)
         for module in (fracnum, fracham.solver, fracham.variational, fracham.cli):
             rest = inspect.getsource(module).replace(own, "")

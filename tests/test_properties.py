@@ -69,7 +69,7 @@ def test_rl_equals_caputo_when_f_vanishes_at_the_anchor(grid, order, seed):
     assert np.array_equal(rl[:-1], ca[:-1])
 
 
-# the draws above stay at n <= 300, where apply multiplies by the dense T;
+# the draws above stay at n <= 300, where apply convolves directly;
 # above n = 512 it convolves by FFT, and the laws must hold there too
 fft_path = pytest.mark.parametrize(
     "grid,order", [(Grid(-1.5, 2.0, n), order) for n in (513, 2048) for order in (0.01, 0.5, 0.999)]

@@ -114,7 +114,7 @@ class TestSampledFn:
     def test_sentinel_path_rejects_interior_nan_naming_node(self, node):
         # a sentinel marks an operator's unusable row, and only rows 0 and n
         # are ever one; a NaN elsewhere would spread to earlier rows through
-        # the dense product of a later apply
+        # the product of a later apply
         g = Grid(0.0, 1.0, 8)
         v = np.ones(9)
         v[node] = np.nan

@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import re
+import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -385,6 +387,44 @@ class TestHamiltonian:
         bundle = hamiltonian(spec, SampledFn(g, np.cos(g.nodes)))
         assert np.array_equal(bundle.H.values, np.zeros(17))
 
+    @pytest.mark.parametrize("n", [64, 512, 4096])
+    @pytest.mark.parametrize("density", ["model", "two-sided"])
+    def test_energy_is_rounded_once(self, density, n):
+        # H is within half an ulp of the exact p_alpha dl + p_beta dr - L on the
+        # bundle's own arrays; rounding each product and sum, it was off by up
+        # to hundreds of ulps where H cancels
+        spec = example_lagrangian(0.5, 0.75) if density == "model" else two_sided_spec(0.3, 0.7)
+        g = Grid(0.0, 1.0, n)
+        q = SampledFn(g, np.random.default_rng(n).standard_normal(n + 1))
+        b = hamiltonian(spec, q)
+        lag = np.broadcast_to(spec.eval_L(g.nodes, q.values, b.dL.values, b.dR.values), n + 1)
+        fields = (b.p_alpha.values, b.dL.values, b.p_beta.values, b.dR.values, lag, b.H.values)
+        for pa, dl, pb, dr, lg, h in zip(*(map(Fraction, f.tolist()) for f in fields)):
+            assert abs(h - (pa * dl + pb * dr - lg)) <= Fraction(np.spacing(abs(float(h)))) / 2
+
+    def test_energy_past_the_split_range_is_the_plain_sum(self):
+        # Dekker's split multiplies a factor by 2^27 + 1, which overflows for
+        # a momentum of 1e301; there H is the plain p dl + p_beta dr - L, bit
+        # for bit, with no overflow warning
+        c = 1e301
+        spec = LagrangianSpec(
+            eval_L=lambda t, q, dl, dr: c * dl * (1.0 + dl),
+            dL_dq=_zeros,
+            dL_ddL=lambda t, q, dl, dr: c * (1.0 + 2.0 * dl),
+            dL_ddR=_zeros,
+            alpha=0.5,
+            beta=0.5,
+        )
+        g = Grid(0.0, 1.0, 64)
+        q = SampledFn(g, 1e-3 * np.sin(3.0 * g.nodes))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = hamiltonian(spec, q)
+        pa, dl = b.p_alpha.values, b.dL.values
+        plain = pa * dl + b.p_beta.values * b.dR.values - spec.eval_L(g.nodes, q.values, dl, None)
+        assert np.isfinite(plain).all() and np.abs(pa).min() > 1e300
+        assert b.H.values.tobytes() == plain.tobytes()
+
     def test_explicit_time_dependence_carries_over_with_sign_flip(self):
         # finite-difference dH/dt along frozen fields equals -dL/dt
         al, be = 0.5, 0.75
@@ -506,6 +546,36 @@ class TestEquivalence:
         assert rep.gap <= 1e-12
         assert rep.el_max > 0.1
         assert rep.hamilton_max > 0.1
+
+
+class TestScalarCallbacks:
+    def test_scalar_partials_broadcast_bit_for_bit(self):
+        # a callback may return a Python scalar for a constant field; every
+        # query then gives the bits of the same density returning arrays
+        def spec(const):
+            return LagrangianSpec(
+                eval_L=lambda t, q, dl, dr: 0.5 * dl**2 + 0.25 * dr + 3.0 * q,
+                dL_dq=lambda t, q, dl, dr: const(q, 3.0),
+                dL_ddL=lambda t, q, dl, dr: dl,
+                dL_ddR=lambda t, q, dl, dr: const(q, 0.25),
+                alpha=0.4,
+                beta=0.7,
+            )
+
+        scalar, array = spec(lambda q, c: c), spec(np.full_like)
+        g = Grid(0.0, 1.0, 96)
+        q = SampledFn(g, np.cos(2.0 * g.nodes) + g.nodes)
+        assert isinstance(scalar.dL_dq(0.5, 1.0, 1.0, 1.0), float)
+
+        def outputs(s):
+            b = hamiltonian(s, q)
+            scalars = [evaluate_functional(s, q), *transversality_terms(s, q),
+                       *dataclasses.astuple(equivalence_gap(s, q))]
+            return [np.array(scalars).tobytes(), el_residual(s, q).residual.values.tobytes(),
+                    *(f.values.tobytes() for f in (b.p_alpha, b.p_beta, b.H)),
+                    *(f.values.tobytes() for f in hamilton_residuals(s, b))]
+
+        assert outputs(scalar) == outputs(array)
 
 
 class TestOneEvaluationPerQuery:

@@ -19,9 +19,12 @@ Each line gives the group, the number of outputs hashed and the digest.
 Run it on two trees, say the working tree and a ``git archive`` copy of
 a parent commit, and compare the lines: a change that claims to keep
 every output bit for bit must print the same digests. Digests compare
-only on one machine, and with one BLAS thread count: the products go
-through BLAS and the FFT, whose rounding depends on the library build and
-on the CPU. It reports only; it gates nothing.
+only on one machine, and with one BLAS thread count. Of the products
+with T only ``np.convolve``, taken up to n = 512, goes through BLAS (the
+FFT above does not); so do the dot products of ``solve()``'s conditioning
+gate. Their rounding depends on the library build and on the CPU:
+OpenBLAS picks a kernel per CPU, and ``OPENBLAS_CORETYPE`` overrides it.
+It reports only; it gates nothing.
 """
 
 from __future__ import annotations

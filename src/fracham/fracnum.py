@@ -447,10 +447,10 @@ def caputo_power_rule(beta: float, alpha, t: float, a: float = 0.0) -> float:
     """
     al = as_order(alpha).value
     beta = float(beta)
-    if beta <= 0.0:
+    if not beta > 0.0:  # NaN fails too
         raise DomainError(f"power-rule exponent must be positive, got beta = {beta:g}")
-    if t < a:
-        raise DomainError(f"need t >= a, got t = {t:g} < a = {a:g}")
+    if not t >= a:
+        raise DomainError(f"need t >= a, got t = {t:g}, a = {a:g}")
     if t == a and beta < al:
         raise DomainError("derivative of (t - a)^beta is singular at t = a for beta < alpha")
     # beta > 0 and alpha < 1, so 1 + beta - alpha > 0 is no pole of gamma

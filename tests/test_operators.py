@@ -570,6 +570,16 @@ class TestPowerRule:
         with pytest.raises(DomainError):
             caputo_power_rule(0.25, 0.5, 0.0)  # singular at the base point
 
+    @pytest.mark.parametrize(
+        "beta, t, a",
+        [(np.nan, 1.0, 0.0), (1.5, np.nan, 0.0), (1.5, 1.0, np.nan)],
+        ids=["beta", "t", "a"],
+    )
+    def test_nan_argument_is_a_domain_error(self, beta, t, a):
+        # a comparison with NaN is False, so the checks are written to fail on it
+        with pytest.raises(DomainError):
+            caputo_power_rule(beta, 0.5, t, a=a)
+
 
 class TestQuadTrapezoid:
     def test_exact_on_linear(self):

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,6 +113,50 @@ class TestRitzSystem:
         monkeypatch.setattr(fracham.solver, "_rayleigh", lambda op, x: np.nan)
         with pytest.raises(SingularSystemError, match="estimate nan"):
             solve(problem(64))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 64, 512, 2048])
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.5, 0.95, 0.999])
+    def test_condition_estimate_at_full_precision(self, alpha, n, monkeypatch):
+        # the two estimates as _rayleigh returns them, not the message's %.3g;
+        # both come from below, so their product may read low but never high.
+        # At n = 2 the interior system is 1 x 1 and the Lanczos step stops at
+        # its exact eigenvalue, with no division by zero
+        rayleigh, estimates = fracham.solver._rayleigh, []
+
+        def recorded(op, x):
+            estimates.append(rayleigh(op, x))
+            return estimates[-1]
+
+        monkeypatch.setattr(fracham.solver, "_rayleigh", recorded)
+        p = problem(n, alpha=alpha, beta=(1.0 + alpha) / 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve(p)
+        ev = np.linalg.eigvalsh(normal_equations(p)[0])
+        assert len(estimates) == 2
+        ratio = estimates[0] * estimates[1] / (ev[-1] / ev[0])
+        assert 1.0 - 2e-3 <= ratio <= 1.0 + 1e-12
+
+    def test_gate_makes_eight_toeplitz_products(self, monkeypatch):
+        # 2 Lanczos steps on each of M and M^-1, 2 products with T per step
+        matmul, rayleigh = fracnum._Toeplitz.__matmul__, fracham.solver._rayleigh
+        count = {"in_gate": False, "products": 0}
+
+        def counted(self, v):
+            count["products"] += count["in_gate"]
+            return matmul(self, v)
+
+        def gate(op, x):
+            count["in_gate"] = True
+            try:
+                return rayleigh(op, x)
+            finally:
+                count["in_gate"] = False
+
+        monkeypatch.setattr(fracnum._Toeplitz, "__matmul__", counted)
+        monkeypatch.setattr(fracham.solver, "_rayleigh", gate)
+        solve(problem(1024))
+        assert count["products"] == 8
 
     # nothing is dense at any n, the residual evaluation's applies included:
     # the peak (measured 44.9 kB at n = 128, 30.5 * 8n bytes at 512 and

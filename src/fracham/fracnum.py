@@ -110,7 +110,7 @@ def gamma(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _subintervals(n) -> int:
-    if int(n) != n:
+    if not (abs(n) < math.inf and int(n) == n):  # inf and NaN fail before int() sees them
         raise ValueError(f"need an integer number of subintervals, got n = {n}")
     return int(n)
 

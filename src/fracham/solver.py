@@ -130,10 +130,9 @@ def exact_solution(problem: ExampleProblem) -> SampledFn:
 def example_lagrangian(alpha, beta: float) -> LagrangianSpec:
     """Density 1/2 * (dl - g(t))^2 of the model functional.
 
-    There is no right-Caputo dependence; the right order slot is filled
-    with alpha since it never enters the residuals. Its operators share
-    the first-difference matrix of the left-Caputo one, so the slot costs
-    no extra matrix.
+    It does not depend on the right Caputo derivative, so the spec has no
+    right slot (``dL_ddR`` and ``beta`` are None): no query forms a right
+    velocity or momentum for it.
     """
     al = as_order(alpha)
     g = _velocity(al.value, float(beta))
@@ -141,9 +140,9 @@ def example_lagrangian(alpha, beta: float) -> LagrangianSpec:
         eval_L=lambda t, q, dl, dr: 0.5 * (dl - g(t)) ** 2,
         dL_dq=lambda t, q, dl, dr: np.zeros_like(np.asarray(q, dtype=float)),
         dL_ddL=lambda t, q, dl, dr: dl - g(t),
-        dL_ddR=lambda t, q, dl, dr: np.zeros_like(np.asarray(q, dtype=float)),
+        dL_ddR=None,
         alpha=al,
-        beta=al,
+        beta=None,
     )
 
 

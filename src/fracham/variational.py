@@ -14,6 +14,10 @@ equations of motion. Both residual routes share the same discrete
 operator matrices, so their algebraic equivalence holds on the grid to
 rounding, independent of discretization error.
 
+A density without a right slot (``dL_ddR`` and ``beta`` both None) has
+no order-beta terms: its callbacks get dr = 0, p_b is zero, and no
+right velocity or term of p_b is computed.
+
 Each query evaluates its trajectory once: the Caputo velocities, each
 callback, and the dL/dq and Riemann-Liouville terms that both residual
 routes add are computed at most once.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -57,56 +61,54 @@ __all__ = [
 # callbacks take (t, q, dl, dr), must accept numpy arrays and broadcast
 Density = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
-_PROBE_SEED = 271828
 _PROBE_COUNT = 8
 _PROBE_TOL = 1e-6
-
-
-@cache
-def _probes() -> np.ndarray:
-    """LagrangianSpec's probes, one row (t, q, dl, dr) each, read-only.
-    Drawn once, at the first check rather than at import: loading
-    numpy.random costs about 15 ms and 6 MB, which a process that never
-    builds a spec (``fracham deriv``, say) would pay for nothing."""
-    probes = np.random.default_rng(_PROBE_SEED).uniform(
-        [0.05, -2.0, -2.0, -2.0], [0.95, 2.0, 2.0, 2.0], size=(_PROBE_COUNT, 4))
-    probes.flags.writeable = False
-    return probes
+# LagrangianSpec's probes, one row (t, q, dl, dr) each: points 1-8 of Roberts'
+# R4 sequence, frac(1/2 + i / phi^k) for k = 1..4 with phi^5 = phi + 1, a fixed
+# low-discrepancy table, scaled to t in [0.05, 0.95] and q, dl, dr in [-2, 2]
+_PROBES = [0.05, -2.0, -2.0, -2.0] + [0.9, 4.0, 4.0, 4.0] * np.modf(
+    0.5 + np.outer(np.arange(1.0, _PROBE_COUNT + 1), 1.1673039782614187 ** -np.arange(1, 5)))[0]
+_PROBES.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
 class LagrangianSpec:
-    """A density L and its three partial derivatives.
+    """A density L and its partial derivatives.
 
     ``dL_dq``, ``dL_ddL`` and ``dL_ddR`` are the partials with respect to
-    the trajectory value, the left-Caputo argument and the right-Caputo
-    argument. On construction they are cross-checked against central
-    finite differences of ``eval_L`` at 8 fixed probes, drawn once from
-    a seeded generator, with t in [0.05, 0.95] and q, dl, dr in [-2, 2];
-    a mismatch beyond 1e-6 (relative, with an absolute floor of 1) raises
-    ValueError. The probes reach every callback as arrays, as evaluation
-    does, so a callback that takes only scalars fails here. Pass
-    ``validate=False`` to skip the gate, for example for a density
-    undefined on [0.05, 0.95].
+    the trajectory value, the left-Caputo argument of order ``alpha`` and
+    the right-Caputo argument of order ``beta``. A density that does not
+    depend on dr leaves out its right slot: ``dL_ddR=None`` and
+    ``beta=None``, always together. Its callbacks still take
+    (t, q, dl, dr) and get dr = 0. On construction the partials given are
+    cross-checked against central finite differences of ``eval_L`` at 8
+    fixed probes, a low-discrepancy table with t in [0.05, 0.95] and q,
+    dl, dr in [-2, 2]; a mismatch beyond 1e-6 (relative, with an
+    absolute floor of 1) raises ValueError. The probes reach every
+    callback as arrays, as evaluation does, so a callback that takes only
+    scalars fails here. Pass ``validate=False`` to skip the gate, for
+    example for a density undefined on [0.05, 0.95].
     """
 
     eval_L: Density
     dL_dq: Density
     dL_ddL: Density
-    dL_ddR: Density
+    dL_ddR: Density | None
     alpha: FractionalOrder
-    beta: FractionalOrder
+    beta: FractionalOrder | None
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool) -> None:
+        if (self.dL_ddR is None) != (self.beta is None):
+            raise ValueError("dL_ddR and beta go together: give both for a right slot, or neither")
         object.__setattr__(self, "alpha", as_order(self.alpha))
-        object.__setattr__(self, "beta", as_order(self.beta))
+        object.__setattr__(self, "beta", None if self.beta is None else as_order(self.beta))
         if validate:
             self._check_partials()
 
     def _check_partials(self) -> None:
-        pts = _probes()  # column k + 1 is the argument of partial k
-        names = ("dL_dq", "dL_ddL", "dL_ddR")
+        pts = _PROBES  # column k + 1 is the argument of partial k
+        names = ("dL_dq", "dL_ddL", "dL_ddR")[: 2 if self.beta is None else 3]
         stated, fd = np.empty((2, _PROBE_COUNT, len(names)))
         for k, name in enumerate(names):
             step = 1e-6 * np.maximum(1.0, np.abs(pts[:, k + 1]))
@@ -129,7 +131,10 @@ class LagrangianSpec:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryBundle:
-    """Trajectory, its fractional velocities, momenta and energy, all on one grid."""
+    """Trajectory, its fractional velocities, momenta and energy, all on one grid.
+
+    For a density without a right slot ``dR`` and ``p_beta`` are zero.
+    """
 
     q: SampledFn
     dL: SampledFn
@@ -175,9 +180,10 @@ def _field(values, n: int) -> np.ndarray:
 class _Evaluation:
     """One evaluation of a trajectory on its grid.
 
-    Both Caputo velocities are applied on construction. ``eval_L``, each
-    partial and the residual terms are computed at most once, on first
-    use, so a query runs only what its outputs need.
+    The Caputo velocities are applied on construction; without a right
+    slot dr is zero, and so is p_beta. ``eval_L``, each partial and the
+    residual terms are computed at most once, on first use, so a query
+    runs only what its outputs need.
     """
 
     def __init__(self, spec: LagrangianSpec, q: SampledFn):
@@ -185,7 +191,10 @@ class _Evaluation:
         self.spec = spec
         self.q = q
         self.dl = apply(build_operator(OperatorKind.CAPUTO_LEFT, spec.alpha, g), q)
-        self.dr = apply(build_operator(OperatorKind.CAPUTO_RIGHT, spec.beta, g), q)
+        if spec.beta is None:  # one zero field for both, filling the cached p_beta
+            self.dr = self.p_beta = SampledFn(g, np.zeros(g.n + 1))
+        else:
+            self.dr = apply(build_operator(OperatorKind.CAPUTO_RIGHT, spec.beta, g), q)
         self.args = (g.nodes, q.values, self.dl.values, self.dr.values)
 
     def _call(self, cb: Density) -> np.ndarray:
@@ -225,11 +234,15 @@ class _Evaluation:
 
 
 def _residual_terms(spec: LagrangianSpec, args, p_alpha: SampledFn, p_beta: SampledFn):
-    """dL/dq, D_right^alpha p_alpha and D_left^beta p_beta: the terms both residual routes add."""
+    """dL/dq, D_right^alpha p_alpha and D_left^beta p_beta: the terms both residual routes add.
+
+    Without a right slot the last term is 0.0, not an array.
+    """
     g = p_alpha.grid
-    ru = apply(build_operator(OperatorKind.RL_RIGHT, spec.alpha, g), p_alpha)
-    rv = apply(build_operator(OperatorKind.RL_LEFT, spec.beta, g), p_beta)
-    return _field(spec.dL_dq(*args), g.n), ru.values, rv.values
+    ru = apply(build_operator(OperatorKind.RL_RIGHT, spec.alpha, g), p_alpha).values
+    rv = 0.0 if spec.beta is None else apply(
+        build_operator(OperatorKind.RL_LEFT, spec.beta, g), p_beta).values
+    return _field(spec.dL_dq(*args), g.n), ru, rv
 
 
 def _weighted_norms(res: SampledFn) -> tuple[float, float]:
@@ -255,7 +268,8 @@ def el_residual(spec: LagrangianSpec, q: SampledFn) -> ELReport:
 
     The two Riemann-Liouville terms are singular at one endpoint each,
     so the residual carries NaN sentinels at both ends and the norms run
-    over the interior. Any other non-finite entry raises ValueError
+    over the interior. Without a right slot there is no D_left^beta term,
+    and node 0 is finite. Any other non-finite entry raises ValueError
     naming the node.
     """
     return _Evaluation(spec, q).stationarity()
@@ -265,14 +279,17 @@ def transversality_terms(spec: LagrangianSpec, q: SampledFn) -> tuple[float, flo
     """Endpoint bracket of the natural boundary conditions.
 
     Computes I_right^(1-alpha)(dL/ddl) - I_left^(1-beta)(dL/ddr) and
-    returns its values at t = a and t = b. With both endpoints held
-    fixed the boundary conditions are satisfied regardless; the caller
-    decides what to do with free endpoints.
+    returns its values at t = a and t = b; without a right slot the
+    second term is absent. With both endpoints held fixed the boundary
+    conditions are satisfied regardless; the caller decides what to do
+    with free endpoints.
     """
     ev = _Evaluation(spec, q)
-    ir = apply(build_operator(OperatorKind.INT_RIGHT, spec.alpha.complement, q.grid), ev.p_alpha)
-    il = apply(build_operator(OperatorKind.INT_LEFT, spec.beta.complement, q.grid), ev.p_beta)
-    bracket = ir.values - il.values
+    bracket = apply(build_operator(OperatorKind.INT_RIGHT, spec.alpha.complement, q.grid),
+                    ev.p_alpha).values
+    if spec.beta is not None:
+        bracket = bracket - apply(
+            build_operator(OperatorKind.INT_LEFT, spec.beta.complement, q.grid), ev.p_beta).values
     return float(bracket[0]), float(bracket[-1])
 
 
@@ -345,9 +362,11 @@ def hamilton_residuals(
     """Defects of the canonical equations of motion on the grid.
 
     The first two returned fields are the momentum-consistency defects
-    p_alpha - dL/ddl and p_beta - dL/ddr evaluated on the bundle. They
-    vanish identically when the momenta came from the gradient map, in
-    which case differentiating the assembled energy with respect to each
+    p_alpha - dL/ddl and p_beta - dL/ddr evaluated on the bundle, with
+    dL/ddr = 0 for a density without a right slot (so the second is
+    zero on any bundle ``hamiltonian`` made for it). They vanish
+    identically when the momenta came from the gradient map, in which
+    case differentiating the assembled energy with respect to each
     momentum reproduces the stored fractional velocity, so they act as
     the consistency checks of the first two canonical equations.
 
@@ -356,16 +375,18 @@ def hamilton_residuals(
         r_q = -dL/dq - D_right^alpha p_alpha - D_left^beta p_beta,
 
     using dH/dq = -dL/dq (the energy depends on q only through L once
-    the momenta are held fixed). It adds the stationarity residual's terms,
-    formed from the bundle's own velocities and momenta, so it equals
-    that residual negated whenever the momenta are consistent. Like that
-    residual it may be NaN at nodes 0 and n only; any other non-finite
-    entry raises ValueError naming the node.
+    the momenta are held fixed); without a right slot it has no p_beta
+    term. It adds the stationarity residual's terms, formed from the
+    bundle's own velocities and momenta, so it equals that residual
+    negated whenever the momenta are consistent. Like that residual it
+    may be NaN at nodes 0 and n only; any other non-finite entry raises
+    ValueError naming the node.
     """
     q = bundle.q
     args = (q.grid.nodes, q.values, bundle.dL.values, bundle.dR.values)
     r_dl = bundle.p_alpha.values - _field(spec.dL_ddL(*args), q.grid.n)
-    r_dr = bundle.p_beta.values - _field(spec.dL_ddR(*args), q.grid.n)
+    r_dr = bundle.p_beta.values - _field(0.0 if spec.dL_ddR is None else spec.dL_ddR(*args),
+                                         q.grid.n)
     dq, ra, rb = _residual_terms(spec, args, bundle.p_alpha, bundle.p_beta)
     r_q = -dq - ra - rb
     return (

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fracham
 
 # numpy is the only runtime dependency; scipy, mpmath and hypothesis serve
@@ -24,21 +26,29 @@ print(" ".join(sorted({m.split(".")[0] for m in sys.modules} & {"scipy", "mpmath
 """
 
 
-# numpy.random costs a process about 15 ms and 6 MB to load, so the package
-# loads it only to draw LagrangianSpec's probes: `fracham deriv` never does
-_DERIV_PROGRAM = """
+# numpy.random costs a process about 15 ms and 6 MB to load. LagrangianSpec's
+# probes are a fixed table, so only `check-equivalence --trial random-polynomial`,
+# which draws its trial, needs it; no other subcommand may load it
+_NO_RANDOM_PROGRAM = """
 import contextlib, io, sys
 import fracham.cli
 with contextlib.redirect_stdout(io.StringIO()):
-    fracham.cli.main(["deriv", "--kind", "rl-left", "--alpha", "0.5", "--fn", "1", "--n", "8"])
-print("numpy.random" in sys.modules)
+    code = fracham.cli.main(sys.argv[1:])
+print(code, "numpy.random" in sys.modules)
 """
+_NO_RANDOM_RUNS = {
+    "deriv": ["deriv", "--kind", "rl-left", "--alpha", "0.5", "--fn", "1", "--n", "8"],
+    "solve-example": ["solve-example", "--alpha", "0.5", "--beta", "0.75", "--n", "64"],
+    "converge": ["converge", "--alpha", "0.5", "--beta", "0.75", "--n-list", "32,64"],
+    "check-equivalence": ["check-equivalence", "--alpha", "0.5", "--beta", "0.75", "--n", "64",
+                          "--trial", "exact"],
+}
 
 
-def _run(program: str) -> str:
+def _run(program: str, *args: str) -> str:
     src = str(Path(fracham.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+    run = subprocess.run([sys.executable, "-c", program, *args], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path))
     assert run.returncode == 0, run.stderr
     return run.stdout.strip()
@@ -48,5 +58,6 @@ def test_library_imports_no_test_dependency():
     assert _run(_PROGRAM) == ""
 
 
-def test_deriv_does_not_load_numpy_random():
-    assert _run(_DERIV_PROGRAM) == "False"
+@pytest.mark.parametrize("command", list(_NO_RANDOM_RUNS))
+def test_subcommand_does_not_load_numpy_random(command):
+    assert _run(_NO_RANDOM_PROGRAM, *_NO_RANDOM_RUNS[command]) == "0 False"

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 import warnings
@@ -158,6 +159,23 @@ class TestRitzSystem:
         solve(problem(1024))
         assert count["products"] == 8
 
+    def test_warm_solve_makes_fourteen_full_size_products(self, monkeypatch):
+        # v (2), d0 (1), the gate (8), Newton's last step (1) and the residual
+        # evaluation's two applies, CAPUTO_LEFT on q and RL_RIGHT on p: the
+        # model density has no right slot, so nothing applies CAPUTO_RIGHT
+        # or RL_LEFT
+        n, matmul = 4096, fracnum._Toeplitz.__matmul__
+        solve(problem(n))  # builds the operators and kernel transforms
+        count = {"products": 0}
+
+        def counted(self, v):
+            count["products"] += self.col.size == n
+            return matmul(self, v)
+
+        monkeypatch.setattr(fracnum._Toeplitz, "__matmul__", counted)
+        solve(problem(n))
+        assert count["products"] == 14
+
     # nothing is dense at any n, the residual evaluation's applies included:
     # the peak (measured 44.9 kB at n = 128, 30.5 * 8n bytes at 512 and
     # 32.6 * 8n at 2048) is O(n) plus a fixed part, below one dense T at each n
@@ -272,10 +290,14 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(0.5, 0.75, bad)
 
-    def test_rejects_non_integral_sizes(self):
-        # int() would run n = 16, 32 instead
-        with pytest.raises(ValueError, match="integer number of subintervals, got n = 16.9"):
-            convergence_study(0.5, 0.75, [16.9, 32.2])
+    @pytest.mark.parametrize("sizes", [[16.9, 32.2], [math.inf], [math.nan]],
+                             ids=["fractional", "inf", "nan"])
+    def test_rejects_non_integral_sizes(self, sizes):
+        # int() would run n = 16, 32 for the first; it raises OverflowError for
+        # inf, and a message of its own for NaN
+        msg = f"integer number of subintervals, got n = {sizes[0]}"
+        with pytest.raises(ValueError, match=msg):
+            convergence_study(0.5, 0.75, sizes)
 
     @staticmethod
     def _rising_solve(monkeypatch, l2_errs):

@@ -27,7 +27,7 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(a, b, n)
 
-    @pytest.mark.parametrize("n", [8.9, 8.5, np.float64(16.2)])
+    @pytest.mark.parametrize("n", [8.9, 8.5, np.float64(16.2), math.inf, math.nan])
     def test_rejects_non_integral_n(self, n):
         with pytest.raises(ValueError, match=f"integer number of subintervals, got n = {n}"):
             Grid(0.0, 1.0, n)

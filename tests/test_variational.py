@@ -135,15 +135,15 @@ class TestProbeGate:
             )
 
     def test_first_failure_is_reported_in_probe_order(self):
-        # dL_dq is wrong only at the fourth probe (t < 0.1), dL_ddL only at the
-        # second (q < -1.5); the earlier probe is reported, at its exact coordinates
-        msg = ("dL_ddL disagrees with finite differences of eval_L at (t=0.1316, q=-1.991, "
-               "dl=1.815, dr=1.458): callback 0, finite-difference -1.9908093")
+        # dL_dq is wrong only at the fourth probe (t > 0.85), dL_ddL only at the
+        # second (q > 1.8); the earlier probe is reported, at its exact coordinates
+        msg = ("dL_ddL disagrees with finite differences of eval_L at (t=0.242, q=1.871, "
+               "dl=1.03, dr=0.3088): callback 0, finite-difference 1.8711349")
         with pytest.raises(ValueError, match=re.escape(msg)):
             LagrangianSpec(
                 eval_L=lambda t, q, dl, dr: q * dl + dr**2,
-                dL_dq=lambda t, q, dl, dr: np.where(t < 0.1, 0.0, dl),
-                dL_ddL=lambda t, q, dl, dr: np.where(q < -1.5, 0.0, q),
+                dL_dq=lambda t, q, dl, dr: np.where(t > 0.85, 0.0, dl),
+                dL_ddL=lambda t, q, dl, dr: np.where(q > 1.8, 0.0, q),
                 dL_ddR=lambda t, q, dl, dr: 2.0 * dr,
                 alpha=0.5,
                 beta=0.5,
@@ -161,6 +161,21 @@ class TestProbeGate:
                 alpha=0.5,
                 beta=0.5,
             )
+
+    @pytest.mark.parametrize("slot", [{"dL_ddR": _zeros, "beta": None},
+                                      {"dL_ddR": None, "beta": 0.5}], ids=["partial", "order"])
+    def test_half_a_right_slot_is_an_error(self, slot):
+        # a right slot has both its partial and its order, or is absent
+        with pytest.raises(ValueError, match="dL_ddR and beta go together"):
+            LagrangianSpec(eval_L=lambda t, q, dl, dr: 0.5 * dl**2, dL_dq=_zeros,
+                           dL_ddL=lambda t, q, dl, dr: dl, alpha=0.5, **slot)
+
+    def test_one_slot_spec_checks_two_partials(self):
+        # the gate still catches a wrong partial of a density without a right slot
+        with pytest.raises(ValueError, match="dL_ddL"):
+            LagrangianSpec(eval_L=lambda t, q, dl, dr: 0.5 * dl**2, dL_dq=_zeros,
+                           dL_ddL=lambda t, q, dl, dr: 1.01 * dl, dL_ddR=None,
+                           alpha=0.5, beta=None)
 
     def test_gate_can_be_skipped(self):
         spec = LagrangianSpec(
@@ -458,9 +473,10 @@ class TestHamiltonResiduals:
         assert np.array_equal(r_dl.values, np.zeros(65))
         assert np.array_equal(r_dr.values, np.zeros(65))
 
-    def test_doctored_momenta_show_up_in_the_defects(self):
+    @pytest.mark.parametrize("density", ["model", "two-sided"])
+    def test_doctored_momenta_show_up_in_the_defects(self, density):
         g = Grid(0.0, 1.0, 32)
-        spec = example_lagrangian(0.5, 0.75)
+        spec = example_lagrangian(0.5, 0.75) if density == "model" else two_sided_spec(0.4, 0.7)
         bundle = hamiltonian(spec, minimizer(g))
         doctored = TrajectoryBundle(
             q=bundle.q,
@@ -473,11 +489,15 @@ class TestHamiltonResiduals:
         r_dl, r_dr, r_q = hamilton_residuals(spec, doctored)
         assert np.allclose(r_dl.values, np.ones(33), rtol=0, atol=1e-15)
         assert np.array_equal(r_dr.values, np.zeros(33))
-        # r_q reads the bundle's momenta, not momenta re-derived from the spec
+        # r_q reads the bundle's momenta, not momenta re-derived from the spec;
+        # the model has no right slot, so no D_left^beta p_beta term
         dl_dq = spec.dL_dq(g.nodes, bundle.q.values, bundle.dL.values, bundle.dR.values)
         ra = apply(build_operator(OperatorKind.RL_RIGHT, spec.alpha, g), doctored.p_alpha)
-        rb = apply(build_operator(OperatorKind.RL_LEFT, spec.beta, g), bundle.p_beta)
-        assert np.array_equal(r_q.values, -dl_dq - ra.values - rb.values, equal_nan=True)
+        expected = -dl_dq - ra.values
+        if spec.beta is not None:
+            expected = expected - apply(build_operator(OperatorKind.RL_LEFT, spec.beta, g),
+                                        bundle.p_beta).values
+        assert np.array_equal(r_q.values, expected, equal_nan=True)
 
     def test_zero_momenta_and_no_coordinate_dependence(self):
         g = Grid(0.0, 1.0, 32)
@@ -548,6 +568,48 @@ class TestEquivalence:
         assert rep.hamilton_max > 0.1
 
 
+class TestOneSlotDensity:
+    """A density without a right slot gives the bits of the same density with
+    an explicit zero right partial, except where that slot's arrays show."""
+
+    @staticmethod
+    def outputs(spec, q):
+        b = hamiltonian(spec, q)
+        r_dl, r_dr, r_q = hamilton_residuals(spec, b)
+        scalars = [evaluate_functional(spec, q), *transversality_terms(spec, q),
+                   *dataclasses.astuple(equivalence_gap(spec, q))]
+        # row 0 of both residuals holds the D_left^beta sentinel only with a right slot
+        return [np.array(scalars).tobytes(), el_residual(spec, q).residual.values[1:].tobytes(),
+                r_q.values[1:].tobytes(),
+                *(f.values.tobytes() for f in (b.dL, b.p_alpha, b.p_beta, b.H, r_dl, r_dr))]
+
+    @pytest.mark.parametrize("n", [8, 513, 4096])
+    @pytest.mark.parametrize("trajectory", ["smooth", "random"])
+    def test_same_bits_as_an_explicit_zero_slot(self, n, trajectory):
+        one = example_lagrangian(0.5, 0.75)
+        assert one.dL_ddR is None and one.beta is None
+        two = dataclasses.replace(one, dL_ddR=_zeros, beta=one.alpha)
+        g = Grid(0.0, 1.0, n)
+        if trajectory == "smooth":
+            q = SampledFn(g, np.sin(3.0 * g.nodes) + g.nodes**0.75)
+        else:
+            q = SampledFn(g, np.random.default_rng(n).standard_normal(n + 1))
+        assert self.outputs(one, q) == self.outputs(two, q)
+
+    def test_right_fields_are_zero(self):
+        spec = example_lagrangian(0.5, 0.75)
+        g = Grid(0.0, 1.0, 64)
+        q = SampledFn(g, np.sin(3.0 * g.nodes))
+        b = hamiltonian(spec, q)
+        assert np.array_equal(b.dR.values, np.zeros(65))
+        assert np.array_equal(b.p_beta.values, np.zeros(65))
+        assert np.array_equal(momenta(spec, q)[1].values, np.zeros(65))
+        # with no D_left^beta sentinel, row 0 of the residuals is finite
+        r_q = hamilton_residuals(spec, b)[2].values
+        el = el_residual(spec, q).residual.values
+        assert np.isfinite(el[0]) and el[0] == -r_q[0]
+
+
 class TestScalarCallbacks:
     def test_scalar_partials_broadcast_bit_for_bit(self):
         # a callback may return a Python scalar for a constant field; every
@@ -595,17 +657,21 @@ class TestOneEvaluationPerQuery:
         monkeypatch.setattr(fracham.variational, "apply", counting)
         return calls
 
-    @pytest.mark.parametrize("spec", [example_lagrangian(0.5, 0.75), two_sided_spec(0.4, 0.7)],
+    @pytest.mark.parametrize("spec,count", [(example_lagrangian(0.5, 0.75), 2),
+                                            (two_sided_spec(0.4, 0.7), 4)],
                              ids=["model", "two-sided"])
-    def test_equivalence_gap(self, applies, spec):
+    def test_equivalence_gap(self, applies, spec, count):
         g = Grid(0.0, 1.0, 64)
         equivalence_gap(spec, SampledFn(g, np.sin(g.nodes)))
-        # two velocities, and the two Riemann-Liouville terms both residual routes add
-        assert len(applies) == 4
+        # one velocity per slot, and the Riemann-Liouville term of each slot's
+        # momentum, which both residual routes add; the model has no right slot
+        assert len(applies) == count
 
-    @pytest.mark.parametrize("spec", [example_lagrangian(0.5, 0.75), two_sided_spec(0.4, 0.7)],
-                             ids=["model", "two-sided"])
-    def test_equivalence_gap_runs_each_partial_once(self, spec):
+    @pytest.mark.parametrize("spec,partials", [
+        (example_lagrangian(0.5, 0.75), {"dL_dq": 1, "dL_ddL": 1}),
+        (two_sided_spec(0.4, 0.7), {"dL_dq": 1, "dL_ddL": 1, "dL_ddR": 1}),
+    ], ids=["model", "two-sided"])
+    def test_equivalence_gap_runs_each_partial_once(self, spec, partials):
         calls = []
 
         def counting(name):
@@ -617,18 +683,20 @@ class TestOneEvaluationPerQuery:
 
             return counted
 
-        names = ("eval_L", "dL_dq", "dL_ddL", "dL_ddR")
+        # the model has no right slot, so no dL_ddR to count
+        names = ("eval_L", *partials)
         counted = dataclasses.replace(spec, validate=False, **{k: counting(k) for k in names})
         g = Grid(0.0, 1.0, 64)
         equivalence_gap(counted, SampledFn(g, np.sin(g.nodes)))
         # the energy is not formed, so eval_L never runs
-        assert Counter(calls) == {"dL_dq": 1, "dL_ddL": 1, "dL_ddR": 1}
+        assert Counter(calls) == partials
 
     def test_solve(self, applies):
         from fracham import ExampleProblem, solve
 
         solve(ExampleProblem(0.5, 0.75, Grid(0.0, 1.0, 64)))
-        assert len(applies) == 4
+        # CAPUTO_LEFT on q and RL_RIGHT on p_alpha: the model has no right slot
+        assert len(applies) == 2
 
     def test_solve_runs_the_lagrangian_once(self, monkeypatch):
         import fracham.solver

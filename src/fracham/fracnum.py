@@ -21,8 +21,11 @@ column and the endpoint column. One private type holds T as its column
 and owns the one product with T, which ``apply``, its transpose and its
 inverse go through (the Ritz solver uses the last three): a direct
 convolution up to n = 512, above it an FFT convolution that reuses the
-kernel's FFT, which the object keeps. No n x n array is formed. All
-kinds of one family at one (order, grid) share one such object.
+kernel's FFT, which the object keeps. No n x n array is formed. A family
+(the four derivative kinds, or the two integral kinds) at one (order,
+grid) computes its kernel and its endpoint column once, in its root, the
+left kind that uses both (RL_LEFT or INT_LEFT); every other kind of the
+family shares both arrays.
 Left kinds only look backward (rows are lower triangular), right kinds
 only forward.
 The Riemann-Liouville kinds are singular at their anchored endpoint
@@ -256,7 +259,9 @@ class FracOperator:
     * ``correction``: the column added times f(a), (x - a)^(-nu) /
       Gamma(1 - nu) with entry 0 set to 0 (n + 1 entries). For the
       Riemann-Liouville kinds it is the endpoint term, for the integral
-      kinds the integral of a constant. None for the Caputo kinds.
+      kinds the integral of a constant. None for the Caputo kinds. The
+      left and right kind of a family share one array, so the family
+      computes it once too.
 
     Right kinds are the left kinds conjugated by index reversal
     i -> n - i. ``unusable`` lists rows where the underlying operator is
@@ -348,10 +353,11 @@ def _build(kind: OperatorKind, order: FractionalOrder, grid: Grid) -> FracOperat
     # Riemann-Liouville derivative of order -mu, and the L1 scheme at -mu
     # integrates the piecewise-linear interpolant exactly
     nu = -order.value if kind.is_integral else order.value
-    family = OperatorKind.INT_LEFT if kind.is_integral else OperatorKind.CAPUTO_LEFT
-    if kind is not family:
-        # every kind of one family has the same T: share the left kind's
-        toeplitz = _build(family, order, grid)._toeplitz
+    root = OperatorKind.INT_LEFT if kind.is_integral else OperatorKind.RL_LEFT
+    if kind is not root:
+        # every kind of one family has the same T and boundary column: the root's
+        shared = _build(root, order, grid)
+        toeplitz, correction = shared._toeplitz, shared.correction
     else:
         # b_j = (j+1)^(1-nu) - j^(1-nu), the L1 convolution coefficients
         scale = h ** (-nu) / gamma(2.0 - nu)
@@ -363,18 +369,15 @@ def _build(kind: OperatorKind, order: FractionalOrder, grid: Grid) -> FracOperat
             b = np.ones(n)
             b[1:] = j[1:] ** (1.0 - nu) * np.expm1((1.0 - nu) * np.log1p(1.0 / j[1:]))
         toeplitz = _Toeplitz(_freeze(scale * b))
-    correction = None
-    unusable: tuple[int, ...] = ()
-    if kind not in (OperatorKind.CAPUTO_LEFT, OperatorKind.CAPUTO_RIGHT):
         # the operator applied to the constant f(a), which the first
         # differences do not see
         correction = np.zeros(n + 1)
         correction[1:] = (np.arange(1, n + 1) * h) ** (-nu) / gamma(1.0 - nu)
         _freeze(correction)
-    if kind.is_riemann_liouville:
-        # at the anchored endpoint the correction blows up; flag the row
-        unusable = (0,) if kind.is_left else (n,)
-    return FracOperator(kind, order, grid, toeplitz, correction, unusable)
+    caputo = kind in (OperatorKind.CAPUTO_LEFT, OperatorKind.CAPUTO_RIGHT)
+    # at the anchored endpoint the Riemann-Liouville correction blows up; flag the row
+    unusable = ((0,) if kind.is_left else (n,)) if kind.is_riemann_liouville else ()
+    return FracOperator(kind, order, grid, toeplitz, None if caputo else correction, unusable)
 
 
 def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
@@ -385,8 +388,10 @@ def build_operator(kind: OperatorKind, order, grid: Grid) -> FracOperator:
     (0, 1). Every kind is the L1 scheme at the signed order nu, alpha for
     derivatives and -mu for integrals. Building costs O(n) time and
     memory. All kinds of one family (the four derivative kinds, or the
-    two integral kinds) at one (order, grid) share one Toeplitz object,
-    so the kernel is computed once per family. An operator holds O(n)
+    two integral kinds) at one (order, grid) share one Toeplitz object
+    and one endpoint column, both computed once per family by its root,
+    RL_LEFT or INT_LEFT, which building any kind of the family builds
+    and caches first. An operator holds O(n)
     memory only, the kernel's FFT included. Operators are cached, and
     their arrays are read-only, so repeated calls with equal arguments
     are cheap.
@@ -415,6 +420,8 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     0 or n, so checking those two rows is enough to keep a NaN out of the
     product, where it would spread to earlier rows: an input with NaN
     there, where such a sentinel sits, raises DomainError naming the node.
+    An output past the float range raises DomainError too, and numpy's
+    overflow warnings are not emitted.
     """
     if f.grid != op.grid:
         raise GridMismatchError(
@@ -428,9 +435,12 @@ def apply(op: FracOperator, f: SampledFn) -> SampledFn:
     left = op.kind.is_left
     v = f.values if left else f.values[::-1]
     y = np.zeros(n + 1)
-    y[1:] = op._toeplitz @ np.diff(v)
-    if op.correction is not None:
-        y = y + v[0] * op.correction
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        y[1:] = op._toeplitz @ np.diff(v)
+        if op.correction is not None:
+            y = y + v[0] * op.correction
+    if not np.isfinite(y).all():  # before the sentinels, which are NaN on purpose
+        raise DomainError(f"{op.kind.value} of this input is past the float range")
     if not left:
         y = y[::-1]
     for i in op.unusable:

@@ -80,11 +80,13 @@ class LagrangianSpec:
     the right-Caputo argument of order ``beta``. A density that does not
     depend on dr leaves out its right slot: ``dL_ddR=None`` and
     ``beta=None``, always together. Its callbacks still take
-    (t, q, dl, dr) and get dr = 0. On construction the partials given are
-    cross-checked against central finite differences of ``eval_L`` at 8
-    fixed probes, a low-discrepancy table with t in [0.05, 0.95] and q,
+    (t, q, dl, dr) and get dr = 0. On construction all three partials
+    are cross-checked against central finite differences of ``eval_L`` at
+    8 fixed probes, a low-discrepancy table with t in [0.05, 0.95] and q,
     dl, dr in [-2, 2]; a mismatch beyond 1e-6 (relative, with an
-    absolute floor of 1) raises ValueError. The probes reach every
+    absolute floor of 1) raises ValueError. A left-out ``dL_ddR`` is
+    checked as the zero partial, so a density without a right slot that
+    depends on dr fails here. The probes reach every
     callback as arrays, as evaluation does, so a callback that takes only
     scalars fails here. Pass ``validate=False`` to skip the gate, for
     example for a density undefined on [0.05, 0.95].
@@ -108,14 +110,16 @@ class LagrangianSpec:
 
     def _check_partials(self) -> None:
         pts = _PROBES  # column k + 1 is the argument of partial k
-        names = ("dL_dq", "dL_ddL", "dL_ddR")[: 2 if self.beta is None else 3]
+        names = ("dL_dq", "dL_ddL", "dL_ddR")
         stated, fd = np.empty((2, _PROBE_COUNT, len(names)))
         for k, name in enumerate(names):
             step = 1e-6 * np.maximum(1.0, np.abs(pts[:, k + 1]))
             hi_pts, lo_pts = pts.copy(), pts.copy()
             hi_pts[:, k + 1] += step
             lo_pts[:, k + 1] -= step
-            stated[:, k] = getattr(self, name)(*pts.T)
+            partial = getattr(self, name)
+            # a density without a right slot must not depend on dr: its partial is zero
+            stated[:, k] = 0.0 if partial is None else partial(*pts.T)
             fd[:, k] = (self.eval_L(*hi_pts.T) - self.eval_L(*lo_pts.T)) / (2.0 * step)
         scale = np.maximum(1.0, np.maximum(np.abs(stated), np.abs(fd)))
         ok = (np.abs(stated - fd) <= _PROBE_TOL * scale) & np.isfinite(scale)  # NaN or inf fails

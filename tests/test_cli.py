@@ -207,6 +207,15 @@ class TestDeriv:
         assert code == EXIT_DOMAIN
         assert "not finite" in err
 
+    def test_overflowing_derivative_is_one_domain_error_line(self):
+        # every sample is finite, but the derivative is past the float range
+        code, out, err = run_cli(
+            "deriv", "--kind", "caputo-left", "--alpha", "0.999", "--fn", "1e307*t",
+            "--interval", "0:0.000001", "--n", "600",
+        )
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("domain error:") and err.count("\n") == 1
+
 
 class TestSolveExample:
     def test_standard_run(self):

@@ -235,8 +235,21 @@ class TestMatrixStructure:
         try:
             ops = [build_operator(kind, 0.29, grid01(33)) for kind in family]
             assert len({id(op.kernel) for op in ops}) == 1
+            # and one boundary column, which the Caputo kinds leave out
+            assert len({id(op.correction) for op in ops if op.correction is not None}) == 1
         finally:
             fracnum._build.cache_clear()
+
+    @pytest.mark.parametrize("left,right", [(K.RL_LEFT, K.RL_RIGHT), (K.INT_LEFT, K.INT_RIGHT)],
+                             ids=["rl", "integral"])
+    def test_mirror_kinds_share_one_boundary_column(self, left, right):
+        g = grid01(33)
+        assert build_operator(right, 0.29, g).correction is build_operator(left, 0.29, g).correction
+
+    def test_caputo_kinds_have_no_boundary_column(self):
+        g = grid01(33)
+        for kind in (K.CAPUTO_LEFT, K.CAPUTO_RIGHT):
+            assert build_operator(kind, 0.29, g).correction is None
 
     def test_caputo_row_sums_vanish(self):
         # constants must be annihilated: every row of the nodal matrix sums to ~0
@@ -523,6 +536,24 @@ class TestProperties:
         assert np.isnan(f.values[row])
         with pytest.raises(DomainError, match=f"NaN at node {row}"):
             apply(build_operator(outer, 0.5, g), f)
+
+    @pytest.mark.parametrize("n", [8, 513])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_overflow_is_a_domain_error(self, kind, n):
+        # h^(-0.999) / Gamma(1.001) scales inputs near the float limit past it
+        # on the direct and the FFT product alike; no numpy warning may escape
+        g = Grid(0.0, 1e-3, n)
+        k = np.arange(n + 1)
+        op = build_operator(kind, 0.999, g)
+        for v in (np.full(n + 1, 1e307), np.full(n + 1, -1e307), 1e307 * (-1.0) ** k,
+                  1e307 * np.sin(k)):
+            try:
+                out = apply(op, SampledFn(g, v))
+            except DomainError as exc:
+                assert "past the float range" in str(exc)
+            else:
+                rows = [i for i in range(n + 1) if i not in op.unusable]
+                assert np.isfinite(out.values[rows]).all()
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_integration_by_parts_defect_shrinks(self, alpha):

@@ -82,7 +82,11 @@ def minimizer(grid, beta=0.75):
 class TestProbeGate:
     def test_consistent_spec_passes(self):
         kinetic_spec(0.5)
-        example_lagrangian(0.5, 0.75)
+        # the model density skips the gate in the library, so it is checked here,
+        # across the order range and at beta = 1
+        for alpha, beta in [(0.001, 0.002), (0.02, 0.03), (0.5, 0.51), (0.5, 0.75), (0.5, 1.0),
+                            (0.9, 0.95), (0.999, 0.9995), (1e-9, 1.0), (1.0 - 1e-9, 1.0)]:
+            dataclasses.replace(example_lagrangian(alpha, beta), validate=True)
 
     def test_wrong_partial_is_caught_and_named(self):
         with pytest.raises(ValueError, match="dL_ddL"):
@@ -170,11 +174,19 @@ class TestProbeGate:
             LagrangianSpec(eval_L=lambda t, q, dl, dr: 0.5 * dl**2, dL_dq=_zeros,
                            dL_ddL=lambda t, q, dl, dr: dl, alpha=0.5, **slot)
 
-    def test_one_slot_spec_checks_two_partials(self):
+    def test_one_slot_spec_catches_a_wrong_partial(self):
         # the gate still catches a wrong partial of a density without a right slot
         with pytest.raises(ValueError, match="dL_ddL"):
             LagrangianSpec(eval_L=lambda t, q, dl, dr: 0.5 * dl**2, dL_dq=_zeros,
                            dL_ddL=lambda t, q, dl, dr: 1.01 * dl, dL_ddR=None,
+                           alpha=0.5, beta=None)
+
+    def test_one_slot_spec_that_reads_dr_is_caught(self):
+        # queries of a density without a right slot pass dr = 0, so one that
+        # depends on dr would be evaluated wrongly: its missing partial is checked as zero
+        with pytest.raises(ValueError, match="dL_ddR disagrees .* callback 0, "):
+            LagrangianSpec(eval_L=lambda t, q, dl, dr: 0.5 * dl**2 + dr**2, dL_dq=_zeros,
+                           dL_ddL=lambda t, q, dl, dr: dl, dL_ddR=None,
                            alpha=0.5, beta=None)
 
     def test_gate_can_be_skipped(self):
